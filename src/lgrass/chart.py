@@ -113,20 +113,28 @@ class SubspaceSpec:
         return f"SubspaceSpec(beta={self.chart.beta}, cut={self.cut})"
 
 
+def entry_cut_pairs(entries, beta: IsotropicIndex) -> list[tuple[int, int]]:
+    """Coordinate pairs (beta'(x), bar(beta'(z))) of entries given as (x, z).
+
+    Raises if an entry falls outside the shifted diagram of sigma(beta).
+    """
+    n = beta.n
+    bp = beta.complement().values
+    pairs = []
+    for x, z in entries:
+        if x > n or z > n:
+            raise ValueError(f"entry x={x}, z={z} not on sigma(beta) for beta={beta}")
+        pairs.append((bp[x - 1], bar(bp[z - 1], n)))
+    return pairs
+
+
 def tableau_cut_pairs(s: SetValuedShiftedTableau, beta: IsotropicIndex) -> list[tuple[int, int]]:
     """Coordinate pairs (beta'(x), bar(beta'(z(x)))) over the entries of s.
 
     Raises if an entry falls outside the shifted diagram of sigma(beta), which
     means s is not on that shape.
     """
-    n = beta.n
-    bp = beta.complement().values
-    pairs = []
-    for e in s.entries():
-        if e.x > n or e.z > n:
-            raise ValueError(f"entry {e} not on sigma(beta) for beta={beta}")
-        pairs.append((bp[e.x - 1], bar(bp[e.z - 1], n)))
-    return pairs
+    return entry_cut_pairs(((e.x, e.z) for e in s.entries()), beta)
 
 
 def subspace_of_tableau(s: SetValuedShiftedTableau, beta: IsotropicIndex) -> SubspaceSpec:

@@ -67,7 +67,7 @@ def _cmd_restrict(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.n > TABLE_RANK_LIMIT:
-        raise SystemExit(f"table rank guard: n <= {TABLE_RANK_LIMIT}")
+        raise ValueError(f"table rank guard: n <= {TABLE_RANK_LIMIT}")
     points = enumerate_isotropic(args.n)
     rows = {a: {b: restrict(a, b, args.theory).value for b in points}
             for a in points}
@@ -176,7 +176,7 @@ def _cmd_chart(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.n > VERIFY_RANK_LIMIT:
-        raise SystemExit(f"verify rank guard: n <= {VERIFY_RANK_LIMIT}")
+        raise ValueError(f"verify rank guard: n <= {VERIFY_RANK_LIMIT}")
     suites = (("oracle", "gkm", "chern", "positivity", "subword")
               if args.suite == "all" else (args.suite,))
     reports = run_verification(args.n, suites, corrupt=args.corrupt)

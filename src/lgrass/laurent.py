@@ -9,6 +9,8 @@ needed for moment-graph checks are implemented by exact substitution.
 
 from __future__ import annotations
 
+from operator import add
+
 from .indexing import bar
 
 
@@ -54,6 +56,23 @@ class LaurentPolynomial:
     @classmethod
     def monomial(cls, n: int, exps, coeff: int = 1) -> "LaurentPolynomial":
         return cls(n, {tuple(exps): coeff})
+
+    @classmethod
+    def sum_of(cls, n: int, polys) -> "LaurentPolynomial":
+        """The sum of an iterable of polynomials, accumulated in one dict."""
+        terms: dict[tuple[int, ...], int] = {}
+        for p in polys:
+            if p.n != n:
+                raise ValueError(f"variable counts differ: {n} vs {p.n}")
+            for exps, c in p._terms.items():
+                cur = terms.get(exps, 0) + c
+                if cur:
+                    terms[exps] = cur
+                else:
+                    del terms[exps]
+        out = cls(n)
+        out._terms = terms
+        return out
 
     @classmethod
     def var(cls, n: int, i: int, power: int = 1) -> "LaurentPolynomial":
@@ -110,7 +129,7 @@ class LaurentPolynomial:
         terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 cur = terms.get(e, 0) + c1 * c2
                 if cur:
                     terms[e] = cur

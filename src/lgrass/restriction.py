@@ -12,14 +12,28 @@ For alpha, beta with lam = sigma(alpha) and mu = sigma(beta):
 with bar labels resolved by t_bar(k) = 1/t_k resp. -t_k.  Every factor is
 e^theta - 1 (resp. theta) for a root theta that is positive for the opposite
 Borel; ``positivity_certificate`` materializes and checks that root.
+
+Both sums run over the single-entry fillings by box maxima.  Write w_x for
+the K factor of entry x plus one.  A set-valued box whose neighbours allow
+entries >= lo, with maximum m, may hold {m} plus any subset of [lo, m), and
+since 1 + (w - 1) = w those 2^(m - lo) sets sum to
+
+  (w_m - 1) * prod_{lo <= x < m} w_x,
+
+so the K sum is a sum over fillings of products of these box factors.
+``RestrictionResult.term_count`` still counts the tableaux of the literal
+sum: set-valued tableaux in K (the sum over fillings of prod 2^(m - lo)),
+single-entry tableaux in H.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
-from .chart import coordinate_weight_h, coordinate_weight_k, tableau_cut_pairs
+from .chart import coordinate_weight_h, coordinate_weight_k, entry_cut_pairs
+from .chart import tableau_cut_pairs  # noqa: F401  bench/tracer.py wraps it here
 from .indexing import IsotropicIndex, bar, enumerate_isotropic, length, sigma
 from .laurent import LaurentPolynomial
 from .tableaux import SetValuedShiftedTableau, enumerate_ssvt, enumerate_ssyt
@@ -134,40 +148,77 @@ def _check_ranks(alpha: IsotropicIndex, beta: IsotropicIndex) -> int:
     return alpha.n
 
 
-def _tableau_product(s: SetValuedShiftedTableau, beta: IsotropicIndex,
-                     theory: str) -> LaurentPolynomial:
-    n = beta.n
-    out = LaurentPolynomial.one(n)
-    for a, b in tableau_cut_pairs(s, beta):
-        if theory == "K":
-            out = out * (coordinate_weight_k(a, b, n) - 1)
-        else:
-            out = out * coordinate_weight_h(a, b, n)
-    return out
+def _box_bounds(s: SetValuedShiftedTableau, set_valued: bool) -> list[tuple[int, int, int]]:
+    """(lo, m, d) per box of a single-entry filling s by box maxima m.
+
+    d = c - r is the box's offset from the diagonal, so an entry x there has
+    z(x) = x + d.  A set-valued box may hold any set with maximum m and minimum
+    >= lo = max(1, left box's m, above box's m + 1); a single-entry box holds
+    only {m}, so lo = m.
+    """
+    bounds = []
+    above = ()
+    for row in s.rows:
+        left = 1
+        for d, (m,) in enumerate(row):
+            lo = m
+            if set_valued:
+                lo = max(left, above[d + 1][0] + 1) if above else left
+            bounds.append((lo, m, d))
+            left = m
+        above = row
+    return bounds
+
+
+def _restriction_sum(alpha: IsotropicIndex, beta: IsotropicIndex,
+                     theory: str) -> tuple[LaurentPolynomial, int]:
+    """The unsigned tableau sum and the number of tableaux in it.
+
+    Sums over the fillings by box maxima; a box (lo, m, d) contributes the
+    sum over its entry sets, which is prod_{lo<=x<m} w_x * (w_m - 1) in K
+    (since 1 + (w - 1) = w) over 2^(m - lo) sets, and the linear form of m in H.
+    """
+    n = _check_ranks(alpha, beta)
+    set_valued = theory == "K"
+    factors: dict[tuple[int, int, int], LaurentPolynomial] = {}
+
+    def factor(lo: int, m: int, d: int) -> LaurentPolynomial:
+        key = (lo, m, d)
+        f = factors.get(key)
+        if f is None:
+            *lower, top = entry_cut_pairs(((x, x + d) for x in range(lo, m + 1)), beta)
+            if set_valued:
+                f = coordinate_weight_k(*top, n) - 1
+                for a, b in lower:
+                    f = f * coordinate_weight_k(a, b, n)
+            else:
+                f = coordinate_weight_h(*top, n)
+            factors[key] = f
+        return f
+
+    fillings = [_box_bounds(s, set_valued)
+                for s in enumerate_ssyt(sigma(alpha), sigma(beta))]
+    count = sum(1 << sum(m - lo for lo, m, _ in boxes) for boxes in fillings)
+    one = LaurentPolynomial.one(n)
+    value = LaurentPolynomial.sum_of(
+        n, (math.prod((factor(*box) for box in boxes), start=one) for boxes in fillings))
+    return value, count
 
 
 @functools.lru_cache(maxsize=None)
 def restrict_k(alpha: IsotropicIndex, beta: IsotropicIndex) -> RestrictionResult:
     """Restriction of the K-theory Schubert class of alpha at the fixed point beta."""
-    n = _check_ranks(alpha, beta)
-    tableaux = enumerate_ssvt(sigma(alpha), sigma(beta))
-    total = LaurentPolynomial.zero(n)
-    for s in tableaux:
-        total = total + _tableau_product(s, beta, "K")
+    value, count = _restriction_sum(alpha, beta, "K")
     if length(alpha) % 2:
-        total = -total
-    return RestrictionResult(alpha, beta, "K", total, len(tableaux))
+        value = -value
+    return RestrictionResult(alpha, beta, "K", value, count)
 
 
 @functools.lru_cache(maxsize=None)
 def restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> RestrictionResult:
     """Restriction of the cohomology Schubert class of alpha at beta."""
-    n = _check_ranks(alpha, beta)
-    tableaux = enumerate_ssyt(sigma(alpha), sigma(beta))
-    total = LaurentPolynomial.zero(n)
-    for s in tableaux:
-        total = total + _tableau_product(s, beta, "H")
-    return RestrictionResult(alpha, beta, "H", total, len(tableaux))
+    value, count = _restriction_sum(alpha, beta, "H")
+    return RestrictionResult(alpha, beta, "H", value, count)
 
 
 def restrict(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str) -> RestrictionResult:
@@ -187,13 +238,13 @@ def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex,
     n = _check_ranks(alpha, beta)
     lam, mu = sigma(alpha), sigma(beta)
     tableaux = enumerate_ssvt(lam, mu) if theory == "K" else enumerate_ssyt(lam, mu)
+    bp = beta.complement().values
     certificates = []
     for s in tableaux:
         roots = []
         for e in s.entries():
             root = root_for_entry(e.x, e.z, beta)
-            a, b = beta.complement().values[e.x - 1], bar(
-                beta.complement().values[e.z - 1], n)
+            a, b = bp[e.x - 1], bar(bp[e.z - 1], n)
             if theory == "K":
                 expected = root.exp_k(n) - 1
                 actual = coordinate_weight_k(a, b, n) - 1

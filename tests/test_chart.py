@@ -122,3 +122,10 @@ class TestSubspaces:
         for s in enumerate_ssvt((2,), (3, 2)):
             spec = subspace_of_tableau(s, BETA3)
             assert len(spec.cut) == s.entry_count()
+
+    def test_entry_cut_pairs(self):
+        from lgrass.chart import entry_cut_pairs, tableau_cut_pairs
+        s = SetValuedShiftedTableau((((1,), (1, 2)),))
+        assert entry_cut_pairs([(1, 1), (1, 2), (2, 3)], BETA3) == tableau_cut_pairs(s, BETA3)
+        with pytest.raises(ValueError):
+            entry_cut_pairs([(1, 4)], BETA3)

@@ -84,8 +84,9 @@ class TestTableCommand:
         assert data["points"][0] == "1,2"
 
     def test_guard(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["table", "--n", "9", "--theory", "H"])
+        assert exc.value.code == 2
 
     def test_deterministic(self, capsys):
         _, out1 = run(capsys, "table", "--n", "2", "--theory", "H")
@@ -187,5 +188,6 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
     def test_guard(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "5", "--suite", "all"])
+        assert exc.value.code == 2

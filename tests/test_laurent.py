@@ -60,6 +60,18 @@ class TestArithmetic:
         assert a * (b + c) == a * b + a * c
 
     @settings(max_examples=30)
+    @given(st.lists(polys, max_size=6))
+    def test_sum_of_matches_repeated_add(self, ps):
+        total = LaurentPolynomial.zero(2)
+        for p in ps:
+            total = total + p
+        assert LaurentPolynomial.sum_of(2, ps) == total
+
+    def test_sum_of_mismatched_n(self):
+        with pytest.raises(ValueError):
+            LaurentPolynomial.sum_of(2, [LaurentPolynomial.one(3)])
+
+    @settings(max_examples=30)
     @given(polys)
     def test_json_round_trip(self, p):
         data = json.loads(json.dumps(p.to_json()))

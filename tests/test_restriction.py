@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial,
-                    enumerate_isotropic, length, positive_roots,
-                    positivity_certificate, restrict, restrict_h, restrict_k,
-                    restriction_table, root_for_entry, sigma)
+                    coordinate_weight_h, coordinate_weight_k,
+                    enumerate_isotropic, enumerate_ssvt, enumerate_ssyt, length,
+                    positive_roots, positivity_certificate, restrict, restrict_h,
+                    restrict_k, restriction_table, root_for_entry, sigma)
+from lgrass.chart import tableau_cut_pairs
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
@@ -166,3 +169,51 @@ class TestTable:
         assert table[(one_pt, bar_pt)] == one
         assert table[(bar_pt, one_pt)].is_zero()
         assert table[(bar_pt, bar_pt)] == -2 * LaurentPolynomial.var(1, 1)
+
+
+def literal_sum(alpha, beta, theory):
+    """The literal tableau sum, one product per tableau, and its tableau count.
+
+    K: (-1)^l(alpha) times the sum over set-valued tableaux of prod (w - 1);
+    H: the sum over single-entry tableaux of products of linear forms.
+    """
+    n = beta.n
+    lam, mu = sigma(alpha), sigma(beta)
+    tableaux = enumerate_ssvt(lam, mu) if theory == "K" else enumerate_ssyt(lam, mu)
+    total = LaurentPolynomial.zero(n)
+    for s in tableaux:
+        prod = LaurentPolynomial.one(n)
+        for a, b in tableau_cut_pairs(s, beta):
+            if theory == "K":
+                prod = prod * (coordinate_weight_k(a, b, n) - 1)
+            else:
+                prod = prod * coordinate_weight_h(a, b, n)
+        total = total + prod
+    if theory == "K" and length(alpha) % 2:
+        total = -total
+    return total, len(tableaux)
+
+
+def assert_matches_literal(alpha, beta):
+    for theory in ("K", "H"):
+        got = restrict(alpha, beta, theory)
+        value, count = literal_sum(alpha, beta, theory)
+        assert got.value.terms() == value.terms()
+        assert got.term_count == count
+
+
+class TestLiteralSum:
+    """The sum over box maxima against the literal tableau sums."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_pair(self, n):
+        points = enumerate_isotropic(n)
+        for alpha in points:
+            for beta in points:
+                assert_matches_literal(alpha, beta)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(enumerate_isotropic(5)),
+           st.sampled_from(enumerate_isotropic(5)))
+    def test_sampled_pairs_n5(self, alpha, beta):
+        assert_matches_literal(alpha, beta)
