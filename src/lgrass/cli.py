@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("oracle", "gkm", "chern", "positivity", "subword", "all"),
                    default="all")
     p.add_argument("--corrupt", action="store_true",
-                   help="negative control: perturb one table value")
+                   help="negative control, gkm suite only: perturb one table value")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
     return parser

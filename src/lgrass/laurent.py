@@ -3,12 +3,18 @@
 One representation serves both theories: K-theory classes use arbitrary
 integer exponents, cohomology classes are the sub-case with nonnegative
 exponents.  The bar conventions t_bar(k) = 1/t_k (K) and t_bar(k) = -t_k
-(cohomology) are provided as constructors, and the divisibility tests
-needed for moment-graph checks are implemented by exact substitution.
+(cohomology) are provided as constructors.
+
+Every result is built by one collector, ``_collect``, which sums
+(exponents, coefficient) pairs and drops zeros: the constructor, ``sum_of``,
+``+`` and ``*`` all feed it.  The divisibility tests needed for moment-graph
+checks use one exact substitution, t_i -> s * t_j^p with s in {1, -1, 0}:
+a root divides p when every image of p on the root's zero set vanishes.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add
 
 from .indexing import bar
@@ -23,20 +29,7 @@ class LaurentPolynomial:
         if n < 0:
             raise ValueError("variable count must be >= 0")
         self.n = n
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            for exps, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != n:
-                    raise ValueError(f"exponent vector {exps} has wrong length")
-                coeff = int(coeff)
-                if coeff:
-                    cur = clean.get(exps, 0) + coeff
-                    if cur:
-                        clean[exps] = cur
-                    else:
-                        clean.pop(exps, None)
-        self._terms = clean
+        self._terms = _collect(_checked_pairs(n, terms)) if terms else {}
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -60,18 +53,18 @@ class LaurentPolynomial:
     @classmethod
     def sum_of(cls, n: int, polys) -> "LaurentPolynomial":
         """The sum of an iterable of polynomials, accumulated in one dict."""
-        terms: dict[tuple[int, ...], int] = {}
-        for p in polys:
+        def terms_of(p):
             if p.n != n:
                 raise ValueError(f"variable counts differ: {n} vs {p.n}")
-            for exps, c in p._terms.items():
-                cur = terms.get(exps, 0) + c
-                if cur:
-                    terms[exps] = cur
-                else:
-                    del terms[exps]
+            return p._terms.items()
+
+        return cls._from_pairs(n, chain.from_iterable(map(terms_of, polys)))
+
+    @classmethod
+    def _from_pairs(cls, n: int, pairs) -> "LaurentPolynomial":
+        """The polynomial of trusted (exponents, coefficient) pairs, summed."""
         out = cls(n)
-        out._terms = terms
+        out._terms = _collect(pairs)
         return out
 
     @classmethod
@@ -93,16 +86,8 @@ class LaurentPolynomial:
         if isinstance(other, int):
             other = LaurentPolynomial.constant(self.n, other)
         self._check(other)
-        terms = dict(self._terms)
-        for exps, c in other._terms.items():
-            cur = terms.get(exps, 0) + c
-            if cur:
-                terms[exps] = cur
-            else:
-                terms.pop(exps, None)
-        out = LaurentPolynomial(self.n)
-        out._terms = terms
-        return out
+        return LaurentPolynomial._from_pairs(
+            self.n, chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
@@ -121,23 +106,13 @@ class LaurentPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = LaurentPolynomial(self.n)
-            if other:
-                out._terms = {e: c * other for e, c in self._terms.items()}
-            return out
-        self._check(other)
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(map(add, e1, e2))
-                cur = terms.get(e, 0) + c1 * c2
-                if cur:
-                    terms[e] = cur
-                else:
-                    terms.pop(e, None)
-        out = LaurentPolynomial(self.n)
-        out._terms = terms
-        return out
+            pairs = ((e, c * other) for e, c in self._terms.items())
+        else:
+            self._check(other)
+            pairs = ((tuple(map(add, e1, e2)), c1 * c2)
+                     for e1, c1 in self._terms.items()
+                     for e2, c2 in other._terms.items())
+        return LaurentPolynomial._from_pairs(self.n, pairs)
 
     __rmul__ = __mul__
 
@@ -193,72 +168,32 @@ class LaurentPolynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    # -- substitutions -------------------------------------------------
+    # -- substitution ---------------------------------------------------
 
-    def substitute_proportional(self, i: int, j: int, sign: int) -> "LaurentPolynomial":
-        """Exact image under t_i -> sign * t_j (sign in {+1, -1}), i != j."""
-        terms: dict[tuple[int, ...], int] = {}
-        for exps, c in self._terms.items():
-            e = list(exps)
-            k = e[i - 1]
-            e[i - 1] = 0
-            e[j - 1] += k
-            c2 = c * (sign ** (k & 1) if sign < 0 else 1)
-            key = tuple(e)
-            cur = terms.get(key, 0) + c2
-            if cur:
-                terms[key] = cur
-            else:
-                terms.pop(key, None)
-        out = LaurentPolynomial(self.n)
-        out._terms = terms
-        return out
+    def _substitute(self, i: int, s: int, j: int | None = None,
+                    p: int = 1) -> "LaurentPolynomial":
+        """Exact image under t_i -> s * t_j^p, or t_i -> s when j is None.
 
-    def substitute_inverse(self, i: int, j: int) -> "LaurentPolynomial":
-        """Exact image under t_i -> t_j^{-1}, i != j."""
-        terms: dict[tuple[int, ...], int] = {}
-        for exps, c in self._terms.items():
-            e = list(exps)
-            k = e[i - 1]
-            e[i - 1] = 0
-            e[j - 1] -= k
-            key = tuple(e)
-            cur = terms.get(key, 0) + c
-            if cur:
-                terms[key] = cur
-            else:
-                terms.pop(key, None)
-        out = LaurentPolynomial(self.n)
-        out._terms = terms
-        return out
+        s is 1, -1 or 0.  The sign of s^k is the parity of k, so the image
+        stays in integers for negative k too; s = 0 needs k >= 0.
+        """
+        def image():
+            for exps, c in self._terms.items():
+                k = exps[i - 1]
+                if k and s != 1:
+                    if not s:
+                        if k < 0:
+                            raise ValueError("t_i -> 0 undefined on negative exponents")
+                        continue
+                    if k & 1:
+                        c = -c
+                e = list(exps)
+                e[i - 1] = 0
+                if j is not None:
+                    e[j - 1] += p * k
+                yield tuple(e), c
 
-    def substitute_square_one(self, i: int) -> "LaurentPolynomial":
-        """Reduction modulo t_i^2 = 1 (exponent parity)."""
-        terms: dict[tuple[int, ...], int] = {}
-        for exps, c in self._terms.items():
-            e = list(exps)
-            e[i - 1] &= 1
-            key = tuple(e)
-            cur = terms.get(key, 0) + c
-            if cur:
-                terms[key] = cur
-            else:
-                terms.pop(key, None)
-        out = LaurentPolynomial(self.n)
-        out._terms = terms
-        return out
-
-    def substitute_zero(self, i: int) -> "LaurentPolynomial":
-        """Image under t_i -> 0; requires nonnegative exponents in t_i."""
-        terms: dict[tuple[int, ...], int] = {}
-        for exps, c in self._terms.items():
-            if exps[i - 1] < 0:
-                raise ValueError("t_i -> 0 undefined on negative exponents")
-            if exps[i - 1] == 0:
-                terms[exps] = c
-        out = LaurentPolynomial(self.n)
-        out._terms = terms
-        return out
+        return LaurentPolynomial._from_pairs(self.n, image())
 
     # -- serialization ---------------------------------------------------
 
@@ -300,6 +235,27 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"<laurent n={self.n} {self.pretty()}>"
+
+
+def _checked_pairs(n: int, terms):
+    """(exponents, coefficient) pairs of a dict or iterable, as int tuples of length n."""
+    for exps, coeff in (terms.items() if isinstance(terms, dict) else terms):
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != n:
+            raise ValueError(f"exponent vector {exps} has wrong length")
+        yield exps, int(coeff)
+
+
+def _collect(pairs) -> dict[tuple[int, ...], int]:
+    """Sum (exponents, coefficient) pairs into one dict, dropping zeros."""
+    terms: dict[tuple[int, ...], int] = {}
+    for exps, c in pairs:
+        cur = terms.get(exps, 0) + c
+        if cur:
+            terms[exps] = cur
+        else:
+            terms.pop(exps, None)
+    return terms
 
 
 def bar_var_k(label: int, n: int) -> LaurentPolynomial:
@@ -384,8 +340,8 @@ def lowest_degree_form(p: LaurentPolynomial, order: int | None = None) -> Lauren
         d *= 2
 
 
-def _parse_linear_form(theta: LaurentPolynomial) -> list[tuple[int, int]]:
-    """[(variable, coefficient)] for a form c_i t_i + c_j t_j; rejects the rest."""
+def _parse_root(theta: LaurentPolynomial) -> list[tuple[int, int]]:
+    """[(variable, coefficient)] of a root form +-c t_i (c in 1, 2) or +-t_i +- t_j."""
     entries = []
     for exps, c in theta.terms():
         if sum(1 for e in exps if e) != 1 or sum(exps) != 1:
@@ -394,6 +350,12 @@ def _parse_linear_form(theta: LaurentPolynomial) -> list[tuple[int, int]]:
         entries.append((i, c))
     if not entries:
         raise ValueError("zero root")
+    if len(entries) > 2:
+        raise ValueError(f"not a rank-one root form: {theta.pretty()}")
+    if len(entries) == 1 and abs(entries[0][1]) not in (1, 2):
+        raise ValueError(f"unexpected root coefficient {entries[0][1]}")
+    if len(entries) == 2 and {abs(c) for _, c in entries} != {1}:
+        raise ValueError(f"unexpected root coefficients in {theta.pretty()}")
     return entries
 
 
@@ -401,62 +363,31 @@ def divisible_by_root_h(p: LaurentPolynomial, theta: LaurentPolynomial) -> bool:
     """Whether the linear form theta (a root +-t_i +- t_j or +-2t_i) divides p.
 
     Checked by exact elimination: p vanishes identically after substituting
-    a solution of theta = 0.  Requires p to have nonnegative exponents.
+    a solution of theta = 0, t_i -> 0 for c t_i and t_i -> -ab t_j for
+    a t_i + b t_j.  Requires p to have nonnegative exponents.
     """
     if p.has_negative_exponent():
         raise ValueError("cohomology divisibility needs nonnegative exponents")
-    entries = _parse_linear_form(theta)
-    if len(entries) == 1:
-        (i, c), = entries
-        if abs(c) not in (1, 2):
-            raise ValueError(f"unexpected root coefficient {c}")
-        return p.substitute_zero(i).is_zero()
-    if len(entries) == 2:
-        (i, a), (j, b) = entries
-        if abs(a) != 1 or abs(b) != 1:
-            raise ValueError(f"unexpected root coefficients in {theta.pretty()}")
-        # theta = a t_i + b t_j = 0  <=>  t_i = -(b/a) t_j
-        return p.substitute_proportional(i, j, -a * b).is_zero()
-    raise ValueError(f"not a rank-one root form: {theta.pretty()}")
+    (i, a), *rest = _parse_root(theta)
+    if rest:
+        (j, b), = rest
+        return p._substitute(i, -a * b, j).is_zero()
+    return p._substitute(i, 0).is_zero()
 
 
 def divisible_by_k_root(p: LaurentPolynomial, theta: LaurentPolynomial) -> bool:
     """Whether p lies in the ideal (1 - e^{-theta}) of the Laurent ring.
 
-    Equivalent to vanishing on the subtorus e^theta = 1, so the check is an
-    exact quotient-ring reduction: t_i = t_j for +-(t_i - t_j), t_i = 1/t_j
-    for +-(t_i + t_j), and exponent parity for +-2t_i.
+    Equivalent to vanishing on the subtorus e^theta = 1, which is checked by
+    exact substitution: t_i -> t_j for +-(t_i - t_j), t_i -> 1/t_j for
+    +-(t_i + t_j), t_i -> 1 for +-t_i, and both t_i -> 1 and t_i -> -1 for
+    +-2t_i (over the integers, p = A + t_i B mod t_i^2 - 1 vanishes iff
+    A + B and A - B do).
     """
-    entries = _parse_linear_form(theta)
-    if len(entries) == 1:
-        (i, c), = entries
-        if abs(c) == 2:
-            return p.substitute_square_one(i).is_zero()
-        if abs(c) == 1:
-            return _subs_one(p, i).is_zero()
-        raise ValueError(f"unexpected root coefficient {c}")
-    if len(entries) == 2:
-        (i, a), (j, b) = entries
-        if abs(a) != 1 or abs(b) != 1:
-            raise ValueError(f"unexpected root coefficients in {theta.pretty()}")
-        if a * b < 0:
-            return p.substitute_proportional(i, j, 1).is_zero()
-        return p.substitute_inverse(i, j).is_zero()
-    raise ValueError(f"not a rank-one root form: {theta.pretty()}")
-
-
-def _subs_one(p: LaurentPolynomial, i: int) -> LaurentPolynomial:
-    """Image under t_i -> 1."""
-    terms: dict[tuple[int, ...], int] = {}
-    for exps, c in p._terms.items():
-        e = list(exps)
-        e[i - 1] = 0
-        key = tuple(e)
-        cur = terms.get(key, 0) + c
-        if cur:
-            terms[key] = cur
-        else:
-            terms.pop(key, None)
-    out = LaurentPolynomial(p.n)
-    out._terms = terms
-    return out
+    (i, a), *rest = _parse_root(theta)
+    if rest:
+        (j, b), = rest
+        images = [(i, 1, j, -1 if a * b > 0 else 1)]
+    else:
+        images = [(i, 1), (i, -1)] if abs(a) == 2 else [(i, 1)]
+    return all(p._substitute(*args).is_zero() for args in images)

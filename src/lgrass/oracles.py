@@ -53,19 +53,19 @@ class SignedPermutation:
     def apply_form(self, form: LaurentPolynomial) -> LaurentPolynomial:
         """Push a polynomial through t_k -> sign(w(k)) t_|w(k)|."""
         n = form.n
-        out = {}
-        for exps, c in form.terms():
-            e = [0] * n
-            sign = 1
-            for k, p in enumerate(exps, start=1):
-                if p:
-                    im = self(k)
-                    e[abs(im) - 1] += p
-                    if im < 0 and p % 2:
-                        sign = -sign
-            key = tuple(e)
-            out[key] = out.get(key, 0) + sign * c
-        return LaurentPolynomial(n, out)
+
+        def image():
+            for exps, c in form.terms():
+                e = [0] * n
+                for k, p in enumerate(exps, start=1):
+                    if p:
+                        im = self(k)
+                        e[abs(im) - 1] += p
+                        if im < 0 and p % 2:
+                            c = -c
+                yield e, c
+
+        return LaurentPolynomial(n, image())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SignedPermutation) and self.window == other.window
@@ -413,6 +413,8 @@ SUITES = {
 def run_verification(n: int, suites=("oracle", "gkm", "chern", "positivity", "subword"),
                      corrupt: bool = False) -> list[SuiteReport]:
     """Run the named suites; ``corrupt`` turns the GKM run into a negative control."""
+    if corrupt and "gkm" not in suites:
+        raise ValueError(f"corrupt perturbs the gkm suite only, not run in {list(suites)}")
     reports = []
     for name in suites:
         if name not in SUITES:

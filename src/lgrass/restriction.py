@@ -32,8 +32,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .chart import coordinate_weight_h, coordinate_weight_k, entry_cut_pairs
-from .chart import tableau_cut_pairs  # noqa: F401  bench/tracer.py wraps it here
+from .chart import (coordinate_weight_h, coordinate_weight_k, entry_cut_pairs,
+                    tableau_cut_pairs)
 from .indexing import IsotropicIndex, bar, enumerate_isotropic, length, sigma
 from .laurent import LaurentPolynomial
 from .tableaux import SetValuedShiftedTableau, enumerate_ssvt, enumerate_ssyt
@@ -238,13 +238,11 @@ def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex,
     n = _check_ranks(alpha, beta)
     lam, mu = sigma(alpha), sigma(beta)
     tableaux = enumerate_ssvt(lam, mu) if theory == "K" else enumerate_ssyt(lam, mu)
-    bp = beta.complement().values
     certificates = []
     for s in tableaux:
         roots = []
-        for e in s.entries():
+        for e, (a, b) in zip(s.entries(), tableau_cut_pairs(s, beta)):
             root = root_for_entry(e.x, e.z, beta)
-            a, b = bp[e.x - 1], bar(bp[e.z - 1], n)
             if theory == "K":
                 expected = root.exp_k(n) - 1
                 actual = coordinate_weight_k(a, b, n) - 1

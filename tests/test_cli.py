@@ -187,6 +187,17 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    def test_corrupt_all_nonzero_exit(self, capsys):
+        code, out = run(capsys, "verify", "--n", "1", "--suite", "all",
+                        "--corrupt")
+        assert code == 1
+        assert "FAIL" in out
+
+    def test_corrupt_without_gkm_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "2", "--suite", "chern", "--corrupt"])
+        assert exc.value.code == 2
+
     def test_guard(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "5", "--suite", "all"])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lgrass import (LaurentPolynomial, bar_var_h, bar_var_k, divisible_by_k_root,
                     divisible_by_root_h, lowest_degree_form)
+from lgrass.restriction import positive_roots
 
 
 def P(n, terms):
@@ -160,6 +161,59 @@ class TestDivisibility:
         assert not divisible_by_k_root(var(1) - 2, 2 * var(1))
         assert not divisible_by_k_root(var(1) - 2, var(1) - var(2))
         assert not divisible_by_k_root(var(1) - 2, var(1) + var(2))
+
+
+exponents3 = st.tuples(*([st.integers(min_value=-2, max_value=2)] * 3))
+polys3 = st.dictionaries(exponents3, st.integers(min_value=-4, max_value=4),
+                         max_size=4).map(lambda d: LaurentPolynomial(3, d))
+nonneg3 = st.dictionaries(st.tuples(*([st.integers(min_value=0, max_value=2)] * 3)),
+                          st.integers(min_value=-4, max_value=4),
+                          max_size=4).map(lambda d: LaurentPolynomial(3, d))
+# every (i, s, j, p) of t_i -> s * t_j^p that the divisibility tests use at n=3
+SUBSTITUTIONS = ([(i, s) for i in range(1, 4) for s in (1, -1)]
+                 + [(i, s, j, p) for i in range(1, 4) for j in range(1, 4) if i != j
+                    for s, p in ((1, 1), (-1, 1), (1, -1))])
+
+
+class TestSubstitution:
+    @settings(max_examples=80)
+    @given(polys3, polys3, st.sampled_from(SUBSTITUTIONS))
+    def test_ring_homomorphism(self, a, b, args):
+        assert (a + b)._substitute(*args) == a._substitute(*args) + b._substitute(*args)
+        assert (a * b)._substitute(*args) == a._substitute(*args) * b._substitute(*args)
+
+    @settings(max_examples=40)
+    @given(nonneg3, nonneg3, st.integers(min_value=1, max_value=3))
+    def test_zero_ring_homomorphism(self, a, b, i):
+        assert (a + b)._substitute(i, 0) == a._substitute(i, 0) + b._substitute(i, 0)
+        assert (a * b)._substitute(i, 0) == a._substitute(i, 0) * b._substitute(i, 0)
+
+    @settings(max_examples=40)
+    @given(polys3, nonneg3, st.sampled_from(positive_roots(3)))
+    def test_multiples_of_every_root_divisible(self, p, q, root):
+        theta = root.form_h(3)
+        assert divisible_by_k_root(p * (1 - root.exp_k(3)), theta)
+        assert divisible_by_root_h(q * theta, theta)
+
+    def test_parity_with_negative_exponent(self):
+        assert divisible_by_k_root(var(1, power=-1) - var(1), 2 * var(1))
+        image = P(3, {(-1, 0, 0): 1, (-3, 1, 0): 2})._substitute(1, -1)
+        assert image == P(3, {(0, 0, 0): -1, (0, 1, 0): -2})
+        assert all(type(c) is int for _, c in image.terms())
+
+    def test_double_root_needs_both_signs(self):
+        # t1 - 1 vanishes at t1 = 1 but not at t1 = -1
+        assert not divisible_by_k_root(var(1) - 1, 2 * var(1))
+        assert divisible_by_k_root(var(1) - var(1, power=3), 2 * var(1))
+
+    def test_cancelling_pairs_build_zero(self):
+        pairs = [((1, 0), 3), ((0, 1), 2), ((1, 0), -3), ((0, 1), -2)]
+        assert LaurentPolynomial(2, pairs).is_zero()
+        assert LaurentPolynomial(2, pairs + [((1, 0), 4)]) == P(2, {(1, 0): 4})
+
+    def test_zero_on_negative_exponent_raises(self):
+        with pytest.raises(ValueError):
+            (var(2) + var(1, power=-1))._substitute(1, 0)
 
 
 class TestPretty:
