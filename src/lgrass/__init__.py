@@ -12,8 +12,8 @@ from .indexing import (IsotropicIndex, bar, enumerate_isotropic, eta_of,
 from .tableaux import (EntryContext, SetValuedShiftedTableau, ShiftedDiagram,
                        entry_context, enumerate_ssvt, enumerate_ssyt, is_on,
                        is_semistandard, shifted_diagram, z_value)
-from .laurent import (LaurentPolynomial, TruncationError, bar_var_h, bar_var_k,
-                      divisible_by_k_root, divisible_by_root_h, lowest_degree_form)
+from .laurent import (LaurentPolynomial, bar_var_h, bar_var_k, divisible_by_k_root,
+                      divisible_by_root_h, lowest_degree_form)
 from .chart import (ChartIndexSet, SubspaceSpec, chart_index_set,
                     chart_matrix_pattern, coordinate_weight_h,
                     coordinate_weight_k, subspace_of_tableau)

@@ -10,11 +10,19 @@ Every result is built by one collector, ``_collect``, which sums
 ``+`` and ``*`` all feed it.  The divisibility tests needed for moment-graph
 checks use one exact substitution, t_i -> s * t_j^p with s in {1, -1, 0}:
 a root divides p when every image of p on the root's zero set vanishes.
+
+The lowest-degree (Chern) form of p is the lowest homogeneous part of
+p(e^{-u}) in u.  Since x_i = 1 - e^{-u_i} = u_i + O(u^2), it equals the
+lowest part of p(1 - x) in x, which needs no exponential series: t_i = 1 - x_i
+is expanded one variable at a time with exact binomial coefficients,
+(1 - x)^e = sum_k (-1)^k C(e, k) x^k for e >= 0 and sum_k C(m + k - 1, k) x^k
+for e = -m, dropping every term above a degree bound as soon as it appears.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from math import comb
 from operator import add
 
 from .indexing import bar
@@ -61,10 +69,10 @@ class LaurentPolynomial:
         return cls._from_pairs(n, chain.from_iterable(map(terms_of, polys)))
 
     @classmethod
-    def _from_pairs(cls, n: int, pairs) -> "LaurentPolynomial":
-        """The polynomial of trusted (exponents, coefficient) pairs, summed."""
+    def _from_pairs(cls, n: int, pairs, start=()) -> "LaurentPolynomial":
+        """The polynomial of trusted (exponents, coefficient) pairs, summed onto start."""
         out = cls(n)
-        out._terms = _collect(pairs)
+        out._terms = _collect(pairs, start)
         return out
 
     @classmethod
@@ -86,8 +94,7 @@ class LaurentPolynomial:
         if isinstance(other, int):
             other = LaurentPolynomial.constant(self.n, other)
         self._check(other)
-        return LaurentPolynomial._from_pairs(
-            self.n, chain(self._terms.items(), other._terms.items()))
+        return LaurentPolynomial._from_pairs(self.n, other._terms.items(), self._terms)
 
     __radd__ = __add__
 
@@ -246,9 +253,9 @@ def _checked_pairs(n: int, terms):
         yield exps, int(coeff)
 
 
-def _collect(pairs) -> dict[tuple[int, ...], int]:
-    """Sum (exponents, coefficient) pairs into one dict, dropping zeros."""
-    terms: dict[tuple[int, ...], int] = {}
+def _collect(pairs, start=()) -> dict[tuple[int, ...], int]:
+    """Sum (exponents, coefficient) pairs into a copy of start, dropping zeros."""
+    terms: dict[tuple[int, ...], int] = dict(start) if start else {}
     for exps, c in pairs:
         cur = terms.get(exps, 0) + c
         if cur:
@@ -272,72 +279,51 @@ def bar_var_h(label: int, n: int) -> LaurentPolynomial:
     return -LaurentPolynomial.var(n, bar(label, n))
 
 
-class TruncationError(RuntimeError):
-    """Series truncation order was too small to see the lowest form."""
+def _binomial_row(e: int, order: int) -> list[int]:
+    """Coefficients of x^0..x^order in (1 - x)^e, exact integers for any e."""
+    if e >= 0:
+        return [(-1) ** k * comb(e, k) for k in range(min(e, order) + 1)]
+    return [comb(k - e - 1, k) for k in range(order + 1)]
 
 
-def _lowest_component(p: LaurentPolynomial, order: int):
-    """Lowest nonzero homogeneous part of p under t_i -> exp(-u_i), or None.
+def _lowest_part(p: LaurentPolynomial, order: int):
+    """Lowest nonzero homogeneous part of p(1 - x) up to x-degree order, or None.
 
-    A monomial t^e maps to exp(L) with L = -sum e_i u_i, so the degree-d part
-    of the image is (1/d!) sum_m c_m L_m^d.  The powers are raised degree by
-    degree with integer coefficients; d! is divided out only when the first
-    nonzero degree is found.
+    Variable i is expanded at step i: positions before i of a key hold
+    x-exponents, the rest still t-exponents, so terms sharing both merge.
+    Terms of x-degree above ``order`` are dropped as soon as they appear.
     """
-    n = p.n
-    zero = (0,) * n
-    monomials = []
-    for exps, c in p._terms.items():
-        lin = {}
-        for i, e in enumerate(exps):
-            if e:
-                key = tuple(1 if j == i else 0 for j in range(n))
-                lin[key] = -e
-        monomials.append((c, lin, {zero: 1}))
-    factorial = 1
-    for d in range(order + 1):
-        if d:
-            factorial *= d
-        component: dict[tuple[int, ...], int] = {}
-        for c, _, power in monomials:
-            for m, v in power.items():
-                cur = component.get(m, 0) + c * v
-                if cur:
-                    component[m] = cur
-                else:
-                    component.pop(m, None)
-        if component:
-            if any(v % factorial for v in component.values()):
-                raise ValueError("lowest form has non-integer coefficients")
-            return LaurentPolynomial(n, {m: v // factorial
-                                         for m, v in component.items()})
-        for idx, (c, lin, power) in enumerate(monomials):
-            nxt: dict[tuple[int, ...], int] = {}
-            for m1, c1 in power.items():
-                for m2, c2 in lin.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    nxt[m] = nxt.get(m, 0) + c1 * c2
-            monomials[idx] = (c, lin, nxt)
-    return None
+    terms = p._terms
+    for i in range(p.n):
+        rows = {e: _binomial_row(e, order) for e in {key[i] for key in terms}}
+        terms = _collect((key[:i] + (k,) + key[i + 1:], c * b)
+                         for key, c in terms.items()
+                         for k, b in enumerate(rows[key[i]][:order + 1 - sum(key[:i])]))
+    if not terms:
+        return None
+    low = min(map(sum, terms))
+    return LaurentPolynomial._from_pairs(
+        p.n, ((x, c) for x, c in terms.items() if sum(x) == low))
 
 
 def lowest_degree_form(p: LaurentPolynomial, order: int | None = None) -> LaurentPolynomial:
     """Lowest-order homogeneous term of p after t_i -> exp(-u_i), in t-variables.
 
-    ``order`` is the initial truncation degree; on a miss the expansion is
-    retried at doubled order (the substitution is injective, so a nonzero
-    input always reveals a nonzero component eventually).
+    Computed as the lowest part of p(1 - x) in x, with x_i written as t_i.
+    ``order`` is a guess at that degree; if every part up to it vanishes,
+    the expansion runs once more up to the total degree of t^m p, where the
+    monomial t^m clears the negative exponents.  A nonzero polynomial keeps
+    its total degree under t -> 1 - x, and t^m = 1 + O(x) leaves the lowest
+    part alone, so that degree bounds the one sought.
     """
     if p.is_zero():
         return p
-    d = order if order and order > 0 else 4
-    while True:
-        comp = _lowest_component(p, d)
-        if comp is not None:
-            return comp
-        if d > 512:
-            raise TruncationError(f"no nonzero component up to order {d}")
-        d *= 2
+    if order is not None:
+        low = _lowest_part(p, max(order, 0))
+        if low is not None:
+            return low
+    shift = sum(min(0, *col) for col in zip(*p._terms))
+    return _lowest_part(p, max(map(sum, p._terms)) - shift)
 
 
 def _parse_root(theta: LaurentPolynomial) -> list[tuple[int, int]]:

@@ -321,7 +321,7 @@ def chern_consistency(alpha: IsotropicIndex, beta: IsotropicIndex) -> bool:
     """Lowest-order form of the K restriction equals the cohomology restriction."""
     k_value = restrict_k(alpha, beta).value
     h_value = restrict_h(alpha, beta).value
-    return lowest_degree_form(k_value, order=length(alpha) + 1) == h_value
+    return lowest_degree_form(k_value, order=length(alpha)) == h_value
 
 
 # ---------------------------------------------------------------------------

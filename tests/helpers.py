@@ -2,12 +2,13 @@
 
 Nothing here shares code with the library's enumeration or verification
 paths: tableaux are generated by filtering the full assignment space with
-the definitions, and partitions are handled with plain tuples.
+the definitions, partitions are handled with plain tuples, and the
+lowest-degree form is taken from the exp series rather than from (1 - x).
 """
 
 import itertools
 
-from lgrass import SetValuedShiftedTableau
+from lgrass import LaurentPolynomial, SetValuedShiftedTableau
 
 
 def brute_force_tableaux(lam, mu, set_valued=True):
@@ -64,3 +65,54 @@ def isotropic_subsets(n):
                for k in range(1, 2 * n + 1)):
             out.append(values)
     return sorted(out)
+
+
+def _exp_series_component(p, order):
+    """Lowest nonzero homogeneous part of p under t_i -> exp(-u_i) up to order, or None.
+
+    A monomial t^e maps to exp(L) with L = -sum e_i u_i, so the degree-d part
+    of the image is (1/d!) sum_m c_m L_m^d.  The powers are raised degree by
+    degree with integer coefficients; d! is divided out only when the first
+    nonzero degree is found.
+    """
+    n = p.n
+    zero = (0,) * n
+    monomials = []
+    for exps, c in p.terms():
+        lin = {tuple(int(j == i) for j in range(n)): -e
+               for i, e in enumerate(exps) if e}
+        monomials.append((c, lin, {zero: 1}))
+    factorial = 1
+    for d in range(order + 1):
+        if d:
+            factorial *= d
+        component = {}
+        for c, _, power in monomials:
+            for m, v in power.items():
+                component[m] = component.get(m, 0) + c * v
+        component = {m: v for m, v in component.items() if v}
+        if component:
+            assert all(v % factorial == 0 for v in component.values())
+            return LaurentPolynomial(n, {m: v // factorial for m, v in component.items()})
+        for idx, (c, lin, power) in enumerate(monomials):
+            nxt = {}
+            for m1, c1 in power.items():
+                for m2, c2 in lin.items():
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    nxt[m] = nxt.get(m, 0) + c1 * c2
+            monomials[idx] = (c, lin, nxt)
+    return None
+
+
+def exp_series_lowest_form(p, order=None):
+    """Reference lowest-degree form by the exp series, doubling the order on a miss."""
+    if p.is_zero():
+        return p
+    d = order if order and order > 0 else 4
+    while True:
+        comp = _exp_series_component(p, d)
+        if comp is not None:
+            return comp
+        if d > 512:
+            raise RuntimeError(f"no nonzero component up to order {d}")
+        d *= 2

@@ -7,6 +7,8 @@ from lgrass import (LaurentPolynomial, bar_var_h, bar_var_k, divisible_by_k_root
                     divisible_by_root_h, lowest_degree_form)
 from lgrass.restriction import positive_roots
 
+from helpers import exp_series_lowest_form
+
 
 def P(n, terms):
     return LaurentPolynomial(n, terms)
@@ -128,6 +130,31 @@ class TestLowestDegreeForm:
         got = lowest_degree_form(p * q)
         assert got == lowest_degree_form(p) * lowest_degree_form(q)
         assert got == (-var(1) - var(2)) * (-2 * var(2))
+
+    def test_exact_bound_retry_polynomial(self):
+        assert lowest_degree_form((1 - var(1)) ** 6, order=1) == var(1) ** 6
+
+    def test_exact_bound_retry_laurent(self):
+        p = (var(1) - 1) ** 3 * var(2, power=-2)
+        assert lowest_degree_form(p, order=1) == -var(1) ** 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_exp_series(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        exps = st.tuples(*([st.integers(min_value=-3, max_value=3)] * n))
+        base = LaurentPolynomial(n, data.draw(st.dictionaries(
+            exps, st.integers(min_value=-5, max_value=5), max_size=5)))
+        # each factor 1 - t_i^(+-1) is O(x), so the low degrees cancel
+        factors = data.draw(st.lists(st.tuples(st.integers(1, n), st.sampled_from((1, -1))),
+                                     max_size=4))
+        p = base
+        for i, s in factors:
+            p = p * (1 - LaurentPolynomial.var(n, i, s))
+        p = p + LaurentPolynomial(n, data.draw(st.dictionaries(
+            exps, st.integers(min_value=-2, max_value=2), max_size=2)))
+        order = data.draw(st.none() | st.integers(min_value=0, max_value=6))
+        assert lowest_degree_form(p, order) == exp_series_lowest_form(p, order)
 
 
 class TestDivisibility:

@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgrass import (ComponentLimitExceeded, IsotropicIndex, LaurentPolynomial,
                     PositiveRoot, SignedPermutation, billey_restrict_h,
                     chern_consistency, coset_representative, enumerate_isotropic,
                     gkm_check, gkm_check_table, gkm_edges, kclass_union_oracle,
-                    reduced_word, reflect, restrict_h, restrict_k,
-                    run_verification)
+                    length, lowest_degree_form, reduced_word, reflect, restrict_h,
+                    restrict_k, run_verification)
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
@@ -174,6 +175,18 @@ class TestChern:
         for a in enumerate_isotropic(4):
             for b in enumerate_isotropic(4):
                 assert chern_consistency(a, b)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(enumerate_isotropic(5)),
+           st.sampled_from(enumerate_isotropic(5)))
+    def test_sampled_n5(self, alpha, beta):
+        assert chern_consistency(alpha, beta)
+        l = length(alpha)
+        if l:
+            # negative control: (1 - t_1)^l = x_1^l changes the degree-l part only
+            bump = (1 - LaurentPolynomial.var(5, 1)) ** l
+            k = restrict_k(alpha, beta).value
+            assert lowest_degree_form(k + bump, order=l) != restrict_h(alpha, beta).value
 
 
 class TestSuites:
