@@ -136,22 +136,21 @@ def coset_representative(alpha: IsotropicIndex) -> SignedPermutation:
     return SignedPermutation(alpha.signed)
 
 
-def billey_restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> LaurentPolynomial:
-    """Subword-formula value of the cohomology restriction at a fixed point.
+@functools.lru_cache(maxsize=None)
+def _subword_column(beta: IsotropicIndex) -> dict[IsotropicIndex, LaurentPolynomial]:
+    """Unsigned subword sums at every fixed point alpha, for one beta.
 
-    Sums, over reduced subwords of a fixed reduced word of the beta
-    representative that multiply to the alpha representative, the products of
-    prefix-reflected simple roots.  The opposite-Borel convention of the
-    restriction classes enters as a global (-1)^{l(alpha)}, equivalently as
-    negating every root; the dictionary is frozen by the rank-one point
-    ({2}, {2}) -> -2 t_1 and validated against the tableau formula elsewhere.
+    One DP over the subwords of a fixed reduced word of the beta
+    representative: a state is the window of a subword's product, reached
+    only through length-increasing steps, and holds the sum of the products
+    of prefix-reflected simple roots along those subwords.  The DP never looks
+    at alpha, so it runs once per beta; only the states at the 2^n minimal
+    coset representatives are kept.  Right multiplication by s_i swaps window
+    positions i and i+1, by s_n negates the last entry.
     """
-    if alpha.n != beta.n:
-        raise ValueError("rank mismatch")
-    n = alpha.n
+    n = beta.n
     table = _weyl_table(n)
     gens = generators(n)
-    wa = coset_representative(alpha)
     wb = coset_representative(beta)
     word = reduced_word(wb)
     prefix = SignedPermutation.identity(n)
@@ -159,20 +158,49 @@ def billey_restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> LaurentPol
     for gi in word:
         prefix_roots.append(prefix.apply_form(simple_root(gi, n)))
         prefix = prefix * gens[gi - 1]
-    assert prefix == wb
+    if prefix != wb:
+        raise RuntimeError(f"reduced word {word} multiplies to {prefix}, not {wb}")
 
-    states: dict[SignedPermutation, LaurentPolynomial] = {
-        SignedPermutation.identity(n): LaurentPolynomial.one(n)}
+    states = {tuple(range(1, n + 1)): LaurentPolynomial.one(n)}
     for gi, root in zip(word, prefix_roots):
-        updates: dict[SignedPermutation, LaurentPolynomial] = {}
+        # right multiplication by s_gi is a bijection: each u2 has one source u
+        updates: dict[tuple[int, ...], LaurentPolynomial] = {}
         for u, val in states.items():
-            u2 = u * gens[gi - 1]
-            if table[u2.window][0] == table[u.window][0] + 1:
-                add = val * root
-                updates[u2] = updates.get(u2, LaurentPolynomial.zero(n)) + add
+            u2 = list(u)
+            if gi < n:
+                u2[gi - 1], u2[gi] = u2[gi], u2[gi - 1]
+            else:
+                u2[-1] = -u2[-1]
+            u2 = tuple(u2)
+            if table[u2][0] == table[u][0] + 1:
+                updates[u2] = val * root
         for u2, add in updates.items():
-            states[u2] = states.get(u2, LaurentPolynomial.zero(n)) + add
-    value = states.get(wa, LaurentPolynomial.zero(n))
+            got = states.get(u2)
+            states[u2] = add if got is None else got + add
+    column = {}
+    for alpha in enumerate_isotropic(n):
+        value = states.get(coset_representative(alpha).window)
+        if value is not None:
+            column[alpha] = value
+    return column
+
+
+def billey_restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> LaurentPolynomial:
+    """Subword-formula value of the cohomology restriction at a fixed point.
+
+    Sums, over reduced subwords of a fixed reduced word of the beta
+    representative that multiply to the alpha representative, the products of
+    prefix-reflected simple roots; the sum is read from ``_subword_column``,
+    which runs the DP once per beta.  The opposite-Borel convention of the
+    restriction classes enters as a global (-1)^{l(alpha)}, equivalently as
+    negating every root; the dictionary is frozen by the rank-one point
+    ({2}, {2}) -> -2 t_1 and validated against the tableau formula elsewhere.
+    """
+    if alpha.n != beta.n:
+        raise ValueError("rank mismatch")
+    value = _subword_column(beta).get(alpha)
+    if value is None:
+        return LaurentPolynomial.zero(alpha.n)
     return -value if length(alpha) % 2 else value
 
 
@@ -257,8 +285,9 @@ def reflect(beta: IsotropicIndex, root: PositiveRoot) -> IsotropicIndex:
     return IsotropicIndex(beta.n, (mapping.get(v, v) for v in beta.values))
 
 
-def gkm_edges(n: int) -> list[GkmEdge]:
-    """All (fixed point, fixed point, root) edges of the moment graph."""
+@functools.lru_cache(maxsize=None)
+def gkm_edges(n: int) -> tuple[GkmEdge, ...]:
+    """All (fixed point, fixed point, root) edges of the moment graph, built once per n."""
     seen = {}
     for b in enumerate_isotropic(n):
         for root in positive_roots(n):
@@ -267,8 +296,8 @@ def gkm_edges(n: int) -> list[GkmEdge]:
                 continue
             lo, hi = (b, b2) if b < b2 else (b2, b)
             seen[(lo, hi, root)] = GkmEdge(lo, hi, root)
-    return [seen[k] for k in sorted(seen, key=lambda k: (k[0].values, k[1].values,
-                                                         k[2].kind, k[2].i, k[2].j))]
+    return tuple(seen[k] for k in sorted(seen, key=lambda k: (k[0].values, k[1].values,
+                                                              k[2].kind, k[2].i, k[2].j)))
 
 
 @dataclass

@@ -234,24 +234,30 @@ def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex,
     Also re-derives each factor from its root and compares it with the factor
     actually used by the restriction, so a certificate that returns is a
     proof that every factor has the form e^theta - 1 (K) resp. theta (H).
+    An entry's root and factor depend only on (x, z) for fixed beta, so each
+    distinct (x, z) is checked in full on its first occurrence and reused.
     """
     n = _check_ranks(alpha, beta)
     lam, mu = sigma(alpha), sigma(beta)
     tableaux = enumerate_ssvt(lam, mu) if theory == "K" else enumerate_ssyt(lam, mu)
+    checked: dict[tuple[int, int], PositiveRoot] = {}
     certificates = []
     for s in tableaux:
         roots = []
         for e, (a, b) in zip(s.entries(), tableau_cut_pairs(s, beta)):
-            root = root_for_entry(e.x, e.z, beta)
-            if theory == "K":
-                expected = root.exp_k(n) - 1
-                actual = coordinate_weight_k(a, b, n) - 1
-            else:
-                expected = root.factor_h(n)
-                actual = coordinate_weight_h(a, b, n)
-            if expected != actual:
-                raise CertificateError(
-                    f"factor mismatch for entry {e}: {actual} vs root {root}")
+            root = checked.get((e.x, e.z))
+            if root is None:
+                root = root_for_entry(e.x, e.z, beta)
+                if theory == "K":
+                    expected = root.exp_k(n) - 1
+                    actual = coordinate_weight_k(a, b, n) - 1
+                else:
+                    expected = root.factor_h(n)
+                    actual = coordinate_weight_h(a, b, n)
+                if expected != actual:
+                    raise CertificateError(
+                        f"factor mismatch for entry {e}: {actual} vs root {root}")
+                checked[e.x, e.z] = root
             roots.append(root)
         certificates.append(roots)
     return certificates

@@ -4,11 +4,17 @@ Nothing here shares code with the library's enumeration or verification
 paths: tableaux are generated by filtering the full assignment space with
 the definitions, partitions are handled with plain tuples, and the
 lowest-degree form is taken from the exp series rather than from (1 - x).
+The one exception is ``per_pair_billey``, the subword DP run separately for
+each (alpha, beta): it reuses the library's group helpers (signed
+permutations, generators, simple roots, the Weyl length table and reduced
+words) and differs from the library only in not sharing one DP per beta.
 """
 
 import itertools
 
-from lgrass import LaurentPolynomial, SetValuedShiftedTableau
+from lgrass import LaurentPolynomial, SetValuedShiftedTableau, length
+from lgrass.oracles import (SignedPermutation, _weyl_table, coset_representative,
+                            generators, reduced_word, simple_root)
 
 
 def brute_force_tableaux(lam, mu, set_valued=True):
@@ -116,3 +122,36 @@ def exp_series_lowest_form(p, order=None):
         if d > 512:
             raise RuntimeError(f"no nonzero component up to order {d}")
         d *= 2
+
+
+def per_pair_billey(alpha, beta):
+    """Subword-formula cohomology restriction by one DP for this (alpha, beta).
+
+    Builds a SignedPermutation per DP step and reads the state at the alpha
+    representative; signed by (-1)^{l(alpha)} like ``billey_restrict_h``.
+    """
+    n = alpha.n
+    table = _weyl_table(n)
+    gens = generators(n)
+    wa = coset_representative(alpha)
+    wb = coset_representative(beta)
+    word = reduced_word(wb)
+    prefix = SignedPermutation.identity(n)
+    prefix_roots = []
+    for gi in word:
+        prefix_roots.append(prefix.apply_form(simple_root(gi, n)))
+        prefix = prefix * gens[gi - 1]
+    assert prefix == wb
+
+    states = {SignedPermutation.identity(n): LaurentPolynomial.one(n)}
+    for gi, root in zip(word, prefix_roots):
+        updates = {}
+        for u, val in states.items():
+            u2 = u * gens[gi - 1]
+            if table[u2.window][0] == table[u.window][0] + 1:
+                add = val * root
+                updates[u2] = updates.get(u2, LaurentPolynomial.zero(n)) + add
+        for u2, add in updates.items():
+            states[u2] = states.get(u2, LaurentPolynomial.zero(n)) + add
+    value = states.get(wa, LaurentPolynomial.zero(n))
+    return -value if length(alpha) % 2 else value

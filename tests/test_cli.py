@@ -202,3 +202,24 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "5", "--suite", "all"])
         assert exc.value.code == 2
+
+
+class TestVerifyRankGuard:
+    """Per-suite rank limits from measured cost."""
+
+    def test_subword_n5_exhaustive(self, capsys):
+        code, out = run(capsys, "verify", "--n", "5", "--suite", "subword", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["ok"] and data["reports"][0]["checks"] == 1024
+
+    def test_oracle_n5_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "5", "--suite", "oracle"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("suite", ["gkm", "chern", "positivity", "subword"])
+    def test_n6_exit_2(self, suite):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "6", "--suite", suite])
+        assert exc.value.code == 2

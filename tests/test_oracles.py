@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,9 @@ from lgrass import (ComponentLimitExceeded, IsotropicIndex, LaurentPolynomial,
                     gkm_check, gkm_check_table, gkm_edges, kclass_union_oracle,
                     length, lowest_degree_form, reduced_word, reflect, restrict_h,
                     restrict_k, run_verification)
+from lgrass import oracles
+
+from helpers import per_pair_billey
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
@@ -66,6 +71,38 @@ class TestBilley:
                 assert billey_restrict_h(a, b) == restrict_h(a, b).value
 
 
+class TestSubwordColumn:
+    """The one-DP-per-beta column against the per-pair DP, and its controls."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_pair_matches_per_pair_dp(self, n):
+        points = enumerate_isotropic(n)
+        for a in points:
+            for b in points:
+                assert billey_restrict_h(a, b) == per_pair_billey(a, b)
+
+    def test_perturbed_restriction_reported_once(self, monkeypatch):
+        points = enumerate_isotropic(3)
+        victim = (points[2], points[5])
+        real = oracles.restrict_h
+
+        def perturbed(a, b):
+            got = real(a, b)
+            return dataclasses.replace(got, value=got.value + 1) if (a, b) == victim else got
+
+        monkeypatch.setattr(oracles, "restrict_h", perturbed)
+        report = oracles.verify_subword(3)
+        assert report.checks == 64
+        assert report.failures == [f"subword mismatch at ({victim[0]}; {victim[1]})"]
+
+    def test_wrong_reduced_word_raises(self, monkeypatch):
+        real = oracles.reduced_word
+        monkeypatch.setattr(oracles, "reduced_word", lambda w: real(w)[:-1])
+        # the uncached function, so the cache never sees the broken word
+        with pytest.raises(RuntimeError):
+            oracles._subword_column.__wrapped__(BETA)
+
+
 class TestUnionOracle:
     def test_example_pair(self):
         assert kclass_union_oracle(ALPHA, BETA) == restrict_k(ALPHA, BETA).value
@@ -102,6 +139,11 @@ class TestGkmGraph:
             degree[e.beta1] += 1
             degree[e.beta2] += 1
         assert set(degree.values()) == {3}  # = dim LGr_2, every vertex
+
+    def test_edges_cached_immutable(self):
+        edges = gkm_edges(3)
+        assert isinstance(edges, tuple)
+        assert gkm_edges(3) is edges
 
     def test_reflection_action(self):
         # brute-force label images for one reflection: t1+t2 swaps 1<->bar(2)

@@ -217,3 +217,50 @@ class TestLiteralSum:
            st.sampled_from(enumerate_isotropic(5)))
     def test_sampled_pairs_n5(self, alpha, beta):
         assert_matches_literal(alpha, beta)
+
+
+def later_only_pair(theory):
+    """A rank-3 (alpha, beta, (a, b)) whose pair (a, b) is not in the first tableau.
+
+    A certificate that skipped every entry after the first tableau's would
+    miss a perturbation of that pair.
+    """
+    tableaux_of = enumerate_ssvt if theory == "K" else enumerate_ssyt
+    for alpha in enumerate_isotropic(3):
+        for beta in enumerate_isotropic(3):
+            tableaux = tableaux_of(sigma(alpha), sigma(beta))
+            if not tableaux:
+                continue
+            first = set(tableau_cut_pairs(tableaux[0], beta))
+            later = {p for s in tableaux[1:] for p in tableau_cut_pairs(s, beta)} - first
+            if later:
+                return alpha, beta, min(later)
+    raise AssertionError("no pair first used after the first tableau")
+
+
+class TestPositivityMemo:
+    """Each distinct (x, z) is checked in full once; the certificate is unchanged."""
+
+    @pytest.mark.parametrize("theory", ["K", "H"])
+    def test_matches_per_entry_roots(self, theory):
+        tableaux_of = enumerate_ssvt if theory == "K" else enumerate_ssyt
+        for alpha in enumerate_isotropic(3):
+            for beta in enumerate_isotropic(3):
+                expected = [[root_for_entry(e.x, e.z, beta) for e in s.entries()]
+                            for s in tableaux_of(sigma(alpha), sigma(beta))]
+                assert positivity_certificate(alpha, beta, theory) == expected
+
+    @pytest.mark.parametrize("theory,name,weight", [
+        ("K", "coordinate_weight_k", coordinate_weight_k),
+        ("H", "coordinate_weight_h", coordinate_weight_h)])
+    def test_perturbed_weight_detected(self, monkeypatch, theory, name, weight):
+        alpha, beta, target = later_only_pair(theory)
+        positivity_certificate(alpha, beta, theory)
+
+        def perturbed(a, b, n):
+            w = weight(a, b, n)
+            return w + 1 if (a, b) == target else w
+
+        monkeypatch.setattr(f"lgrass.restriction.{name}", perturbed)
+        with pytest.raises(CertificateError):
+            positivity_certificate(alpha, beta, theory)
