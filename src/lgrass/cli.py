@@ -22,10 +22,11 @@ from .oracles import run_verification
 from .restriction import restrict
 
 TABLE_RANK_LIMIT = 8
-# Largest n per verify suite, from measured cost: at n=5 subword, gkm, chern
-# and positivity each finish in seconds, while the oracle's inclusion-exclusion
-# raises ComponentLimitExceeded.  --suite all takes the minimum.
-VERIFY_RANK_LIMITS = {"oracle": 4, "gkm": 5, "chern": 5, "positivity": 5, "subword": 5}
+# Largest n per verify suite, from measured cost: gkm, chern and positivity
+# finish in seconds at n=5, the oracle raises ComponentLimitExceeded at n=5,
+# and a cold `verify --n 6 --suite subword` takes 8-9 s on 2 Xeon cores, about
+# 6.5 s of it the n=6 H table.  --suite all takes the minimum.
+VERIFY_RANK_LIMITS = {"oracle": 4, "gkm": 5, "chern": 5, "positivity": 5, "subword": 6}
 
 
 def parse_index(text: str, n: int) -> IsotropicIndex:

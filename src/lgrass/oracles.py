@@ -96,44 +96,45 @@ def simple_root(i: int, n: int) -> LaurentPolynomial:
     return 2 * LaurentPolynomial.var(n, n)
 
 
-@functools.lru_cache(maxsize=None)
-def _weyl_table(n: int):
-    """BFS over right multiplication: window -> (length, parent window, generator)."""
-    gens = generators(n)
-    ident = SignedPermutation.identity(n)
-    table = {ident.window: (0, None, None)}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for gi, g in enumerate(gens, start=1):
-                w2 = w * g
-                if w2.window not in table:
-                    table[w2.window] = (table[w.window][0] + 1, w.window, gi)
-                    nxt.append(w2)
-        frontier = nxt
-    return table
-
-
-def weyl_length(w: SignedPermutation) -> int:
-    return _weyl_table(len(w.window))[w.window][0]
-
-
-def reduced_word(w: SignedPermutation) -> list[int]:
-    """A canonical reduced word (generator indices), from the BFS tree."""
-    table = _weyl_table(len(w.window))
-    word = []
-    cur = w.window
-    while table[cur][1] is not None:
-        _, parent, gi = table[cur]
-        word.append(gi)
-        cur = parent
-    return word[::-1]
-
-
 def coset_representative(alpha: IsotropicIndex) -> SignedPermutation:
     """The minimal-length representative of the coset indexed by alpha."""
     return SignedPermutation(alpha.signed)
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_table(n: int) -> dict[tuple[int, ...], int]:
+    """Window -> length on the 2^n minimal coset representatives only.
+
+    These are the windows increasing in the order 1 < ... < n < -n < ... < -1,
+    one per alpha, of length l(alpha); the rest of the group is never built.
+    """
+    return {coset_representative(a).window: length(a) for a in enumerate_isotropic(n)}
+
+
+def reduced_word(w: SignedPermutation) -> list[int]:
+    """A reduced word (generator indices) for any w, by peeling right descents.
+
+    n is a descent when w(n) < 0, and i < n when w(i) comes after w(i+1) in
+    the order 1 < ... < n < -n < ... < -1, which is integer order on the
+    labels k and 2n+1-k of k and -k.
+    """
+    n = len(w.window)
+    labels = [v if v > 0 else 2 * n + 1 + v for v in w.window]
+    word = []
+    while True:
+        if labels[-1] > n:
+            labels[-1] = 2 * n + 1 - labels[-1]
+            word.append(n)
+            continue
+        i = next((i for i in range(1, n) if labels[i - 1] > labels[i]), None)
+        if i is None:
+            return word[::-1]
+        labels[i - 1], labels[i] = labels[i], labels[i - 1]
+        word.append(i)
+
+
+def weyl_length(w: SignedPermutation) -> int:
+    return len(reduced_word(w))
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,15 +142,18 @@ def _subword_column(beta: IsotropicIndex) -> dict[IsotropicIndex, LaurentPolynom
     """Unsigned subword sums at every fixed point alpha, for one beta.
 
     One DP over the subwords of a fixed reduced word of the beta
-    representative: a state is the window of a subword's product, reached
-    only through length-increasing steps, and holds the sum of the products
-    of prefix-reflected simple roots along those subwords.  The DP never looks
-    at alpha, so it runs once per beta; only the states at the 2^n minimal
-    coset representatives are kept.  Right multiplication by s_i swaps window
-    positions i and i+1, by s_n negates the last entry.
+    representative, read right to left: a state is the window of a subword's
+    suffix product u, reached only through length-additive left
+    multiplications u -> s_i u, and holds the sum of the products of the
+    prefix-reflected simple roots at the chosen positions.  Every suffix of a
+    reduced word of a minimal coset representative spells one again (a right
+    descent of a suffix is one of the whole), so only the 2^n states of
+    ``_weyl_table`` are kept.  The DP never looks at alpha, so it runs once
+    per beta.  Left multiplication acts on values: s_i swaps i <-> i+1 and
+    -i <-> -(i+1), s_n swaps n <-> -n.
     """
     n = beta.n
-    table = _weyl_table(n)
+    lens = _weyl_table(n)
     gens = generators(n)
     wb = coset_representative(beta)
     word = reduced_word(wb)
@@ -158,31 +162,24 @@ def _subword_column(beta: IsotropicIndex) -> dict[IsotropicIndex, LaurentPolynom
     for gi in word:
         prefix_roots.append(prefix.apply_form(simple_root(gi, n)))
         prefix = prefix * gens[gi - 1]
-    if prefix != wb:
-        raise RuntimeError(f"reduced word {word} multiplies to {prefix}, not {wb}")
+    if prefix != wb or len(word) != lens[wb.window]:
+        raise RuntimeError(f"{word} is not a reduced word for {wb}")
 
     states = {tuple(range(1, n + 1)): LaurentPolynomial.one(n)}
-    for gi, root in zip(word, prefix_roots):
-        # right multiplication by s_gi is a bijection: each u2 has one source u
+    for gi, root in zip(reversed(word), reversed(prefix_roots)):
+        swap = ({n: -n, -n: n} if gi == n
+                else {gi: gi + 1, gi + 1: gi, -gi: -gi - 1, -gi - 1: -gi})
+        # left multiplication by s_gi is a bijection: each u2 has one source u
         updates: dict[tuple[int, ...], LaurentPolynomial] = {}
         for u, val in states.items():
-            u2 = list(u)
-            if gi < n:
-                u2[gi - 1], u2[gi] = u2[gi], u2[gi - 1]
-            else:
-                u2[-1] = -u2[-1]
-            u2 = tuple(u2)
-            if table[u2][0] == table[u][0] + 1:
+            u2 = tuple(swap.get(v, v) for v in u)
+            if lens.get(u2) == lens[u] + 1:
                 updates[u2] = val * root
         for u2, add in updates.items():
             got = states.get(u2)
             states[u2] = add if got is None else got + add
-    column = {}
-    for alpha in enumerate_isotropic(n):
-        value = states.get(coset_representative(alpha).window)
-        if value is not None:
-            column[alpha] = value
-    return column
+    alphas = {coset_representative(a).window: a for a in enumerate_isotropic(n)}
+    return {alphas[u]: value for u, value in states.items()}
 
 
 def billey_restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> LaurentPolynomial:

@@ -4,17 +4,20 @@ Nothing here shares code with the library's enumeration or verification
 paths: tableaux are generated by filtering the full assignment space with
 the definitions, partitions are handled with plain tuples, and the
 lowest-degree form is taken from the exp series rather than from (1 - x).
-The one exception is ``per_pair_billey``, the subword DP run separately for
-each (alpha, beta): it reuses the library's group helpers (signed
-permutations, generators, simple roots, the Weyl length table and reduced
-words) and differs from the library only in not sharing one DP per beta.
+The subword DP has its reference here too: ``bfs_weyl_lengths`` builds the
+whole signed-permutation group by BFS, and ``per_pair_billey`` runs the DP on
+full group elements by right multiplication, separately for each
+(alpha, beta).  It reuses the library's signed permutations, generators,
+simple roots and reduced words, but not its coset-representative lengths
+or its right-to-left DP on the 2^n minimal coset representatives.
 """
 
+import functools
 import itertools
 
 from lgrass import LaurentPolynomial, SetValuedShiftedTableau, length
-from lgrass.oracles import (SignedPermutation, _weyl_table, coset_representative,
-                            generators, reduced_word, simple_root)
+from lgrass.oracles import (SignedPermutation, coset_representative, generators,
+                            reduced_word, simple_root)
 
 
 def brute_force_tableaux(lam, mu, set_valued=True):
@@ -124,6 +127,24 @@ def exp_series_lowest_form(p, order=None):
         d *= 2
 
 
+@functools.lru_cache(maxsize=None)
+def bfs_weyl_lengths(n):
+    """Window -> length for all 2^n n! signed permutations, by BFS over s_1..s_n."""
+    gens = generators(n)
+    frontier = [SignedPermutation.identity(n)]
+    table = {frontier[0].window: 0}
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                w2 = w * g
+                if w2.window not in table:
+                    table[w2.window] = table[w.window] + 1
+                    nxt.append(w2)
+        frontier = nxt
+    return table
+
+
 def per_pair_billey(alpha, beta):
     """Subword-formula cohomology restriction by one DP for this (alpha, beta).
 
@@ -131,7 +152,7 @@ def per_pair_billey(alpha, beta):
     representative; signed by (-1)^{l(alpha)} like ``billey_restrict_h``.
     """
     n = alpha.n
-    table = _weyl_table(n)
+    table = bfs_weyl_lengths(n)
     gens = generators(n)
     wa = coset_representative(alpha)
     wb = coset_representative(beta)
@@ -148,7 +169,7 @@ def per_pair_billey(alpha, beta):
         updates = {}
         for u, val in states.items():
             u2 = u * gens[gi - 1]
-            if table[u2.window][0] == table[u.window][0] + 1:
+            if table[u2.window] == table[u.window] + 1:
                 add = val * root
                 updates[u2] = updates.get(u2, LaurentPolynomial.zero(n)) + add
         for u2, add in updates.items():

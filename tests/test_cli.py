@@ -218,8 +218,13 @@ class TestVerifyRankGuard:
             main(["verify", "--n", "5", "--suite", "oracle"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("suite", ["gkm", "chern", "positivity", "subword"])
+    @pytest.mark.parametrize("suite", ["gkm", "chern", "positivity"])
     def test_n6_exit_2(self, suite):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "6", "--suite", suite])
+        assert exc.value.code == 2
+
+    def test_subword_n7_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "7", "--suite", "subword"])
         assert exc.value.code == 2

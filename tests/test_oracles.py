@@ -11,7 +11,7 @@ from lgrass import (ComponentLimitExceeded, IsotropicIndex, LaurentPolynomial,
                     restrict_k, run_verification)
 from lgrass import oracles
 
-from helpers import per_pair_billey
+from helpers import bfs_weyl_lengths, per_pair_billey
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
@@ -50,6 +50,38 @@ class TestSignedPermutations:
         assert w.apply_form(form) == -t(2) - t(1)
 
 
+class TestWeylGroup:
+    """Peeled reduced words and the coset-representative table against the BFS."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reduced_word_every_element(self, n):
+        gens = oracles.generators(n)
+        for window, bfs_length in bfs_weyl_lengths(n).items():
+            w = SignedPermutation(window)
+            word = reduced_word(w)
+            product = SignedPermutation.identity(n)
+            for gi in word:
+                product = product * gens[gi - 1]
+            assert product == w
+            assert len(word) == oracles.weyl_length(w) == bfs_length
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_table_is_coset_minima(self, n):
+        # a right coset w W_P permutes the window's positions; its BFS-shortest
+        # element must be the table's representative, with its BFS length
+        shortest = {}
+        for window, bfs_length in bfs_weyl_lengths(n).items():
+            key = frozenset(window)
+            if key not in shortest or bfs_length < shortest[key][1]:
+                shortest[key] = (window, bfs_length)
+        table = oracles._weyl_table(n)
+        assert len(table) == 2 ** n
+        assert table == dict(shortest.values())
+
+    def test_table_size_n6(self):
+        assert len(oracles._weyl_table(6)) == 64
+
+
 class TestBilley:
     def test_example_pair(self):
         assert billey_restrict_h(ALPHA, BETA) == restrict_h(ALPHA, BETA).value
@@ -69,6 +101,12 @@ class TestBilley:
         for a in enumerate_isotropic(2):
             for b in enumerate_isotropic(2):
                 assert billey_restrict_h(a, b) == restrict_h(a, b).value
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.sampled_from(enumerate_isotropic(6)),
+           st.sampled_from(enumerate_isotropic(6)))
+    def test_sampled_n6(self, alpha, beta):
+        assert billey_restrict_h(alpha, beta) == restrict_h(alpha, beta).value
 
 
 class TestSubwordColumn:
