@@ -21,11 +21,15 @@ from .models import MODEL_NAMES, enumerate_model
 from .oracles import run_verification
 from .restriction import restrict
 
-TABLE_RANK_LIMIT = 8
+# Largest n per table theory, from measured cost on 2 Xeon cores: a cold
+# `table --n 6 --theory K --out json` takes 29-30 s and 1.4 GB (n=7 K was not
+# run: n=6 already holds 2.58 M monomials), and a cold `table --n 7 --theory H`
+# 122-127 s and 2.3 GB, half of it formatting 10.2 M monomials.
+TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # Largest n per verify suite, from measured cost: gkm, chern and positivity
 # finish in seconds at n=5, the oracle raises ComponentLimitExceeded at n=5,
-# and a cold `verify --n 6 --suite subword` takes 8-9 s on 2 Xeon cores, about
-# 6.5 s of it the n=6 H table.  --suite all takes the minimum.
+# and a cold `verify --n 6 --suite subword` takes about 3 s on 2 Xeon cores,
+# about 1.2 s of it the n=6 H columns.  --suite all takes the minimum.
 VERIFY_RANK_LIMITS = {"oracle": 4, "gkm": 5, "chern": 5, "positivity": 5, "subword": 6}
 
 
@@ -70,8 +74,9 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.n > TABLE_RANK_LIMIT:
-        raise ValueError(f"table rank guard: n <= {TABLE_RANK_LIMIT}")
+    limit = TABLE_RANK_LIMITS[args.theory]
+    if args.n > limit:
+        raise ValueError(f"table rank guard: n <= {limit} for --theory {args.theory}")
     points = enumerate_isotropic(args.n)
     rows = {a: {b: restrict(a, b, args.theory).value for b in points}
             for a in points}
@@ -216,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="full fixed-point restriction table")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theory", choices=("K", "H"), default="K")
+    p.add_argument("--theory", choices=tuple(TABLE_RANK_LIMITS), default="K")
     p.add_argument("--out", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_table)
 

@@ -24,19 +24,28 @@ so the K sum is a sum over fillings of products of these box factors.
 ``RestrictionResult.term_count`` still counts the tableaux of the literal
 sum: set-valued tableaux in K (the sum over fillings of prod 2^(m - lo)),
 single-entry tableaux in H.
+
+The fillings are summed row by row, once per fixed point beta and for every
+alpha at once (``_restriction_column``).  A box's bound lo depends only on
+its left neighbour and on the box above it, so the rows filled so far enter
+the next row only through the maxima of the last one: a DP state is (shape
+prefix, maxima of its last row), and every shape that extends a prefix shares
+that prefix's sums.  The value at alpha is the sum of the states whose
+prefix is sigma(alpha).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .chart import (coordinate_weight_h, coordinate_weight_k, entry_cut_pairs,
                     tableau_cut_pairs)
-from .indexing import IsotropicIndex, bar, enumerate_isotropic, length, sigma
+# length is unused here but stays importable: bench/tracer.py patches it by name
+from .indexing import IsotropicIndex, bar, enumerate_isotropic, length, sigma  # noqa: F401
 from .laurent import LaurentPolynomial
-from .tableaux import SetValuedShiftedTableau, enumerate_ssvt, enumerate_ssyt
+from .tableaux import enumerate_ssvt, enumerate_ssyt
 
 
 @dataclass(frozen=True)
@@ -148,44 +157,57 @@ def _check_ranks(alpha: IsotropicIndex, beta: IsotropicIndex) -> int:
     return alpha.n
 
 
-def _box_bounds(s: SetValuedShiftedTableau, set_valued: bool) -> list[tuple[int, int, int]]:
-    """(lo, m, d) per box of a single-entry filling s by box maxima m.
+def _rows_below(prev: tuple[int, ...], caps: list[int]
+                ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every row of box maxima that fits below the row prev, with its lower bounds.
 
-    d = c - r is the box's offset from the diagonal, so an entry x there has
-    z(x) = x + d.  A set-valued box may hold any set with maximum m and minimum
-    >= lo = max(1, left box's m, above box's m + 1); a single-entry box holds
-    only {m}, so lo = m.
+    Yields (row, los) for each weakly increasing row of length l < len(prev)
+    with prev[d + 1] < row[d] <= caps[d]; los[d] = max(row[d - 1], prev[d + 1] + 1)
+    (1 for the left neighbour of d = 0) bounds the entries a set-valued box
+    may hold.  A row's prefixes are rows too, so they are yielded on the way.
     """
-    bounds = []
-    above = ()
-    for row in s.rows:
-        left = 1
-        for d, (m,) in enumerate(row):
-            lo = m
-            if set_valued:
-                lo = max(left, above[d + 1][0] + 1) if above else left
-            bounds.append((lo, m, d))
-            left = m
-        above = row
-    return bounds
+    stack = [((), (), 1)]
+    while stack:
+        row, los, left = stack.pop()
+        d = len(row)
+        if d + 1 < len(prev):
+            lo = max(left, prev[d + 1] + 1)
+            for m in range(lo, caps[d] + 1):
+                grown = (row + (m,), los + (lo,))
+                yield grown
+                stack.append((*grown, m))
 
 
-def _restriction_sum(alpha: IsotropicIndex, beta: IsotropicIndex,
-                     theory: str) -> tuple[LaurentPolynomial, int]:
-    """The unsigned tableau sum and the number of tableaux in it.
+@functools.lru_cache(maxsize=None)
+def _restriction_column(beta: IsotropicIndex, theory: str
+                        ) -> dict[tuple[int, ...], tuple[LaurentPolynomial, int]]:
+    """Signed restriction values and tableau counts at every shape lam, for one beta.
 
-    Sums over the fillings by box maxima; a box (lo, m, d) contributes the
-    sum over its entry sets, which is prod_{lo<=x<m} w_x * (w_m - 1) in K
-    (since 1 + (w - 1) = w) over 2^(m - lo) sets, and the linear form of m in H.
+    A row DP over the shifted shape: a state is (shape prefix (l_1..l_r),
+    box maxima of row r) and holds the summed products of the box factors of
+    the rows so far, and the number of tableaux they stand for.  A next row
+    is one of ``_rows_below``; a box (lo, m, d) contributes
+    (w_m - 1) * prod_{lo<=x<m} w_x over 2^(m - lo) entry sets in K and the
+    linear form of m (lo = m) in H.  Parents reaching one (prefix, row) key
+    with the same lower bounds are summed before their shared row factor is
+    multiplied in, and every key sums all of its parents.  The value at lam
+    is the sum of the states with prefix lam, signed (-1)^{|lam|} in K.  The
+    DP never looks at alpha, so it runs once per beta; the keys are exactly
+    the shapes lam contained in sigma(beta).
     """
-    n = _check_ranks(alpha, beta)
+    n = beta.n
+    mu = sigma(beta)
     set_valued = theory == "K"
-    factors: dict[tuple[int, int, int], LaurentPolynomial] = {}
+    # entry x fits at offset d = c - r iff d < mu_x, i.e. x <= caps[d]
+    caps = [sum(1 for p in mu if p > d) for d in range(mu[0] if mu else 0)]
+    one = LaurentPolynomial.one(n)
+    products: dict[tuple[tuple[int, int], ...], LaurentPolynomial] = {(): one}
 
-    def factor(lo: int, m: int, d: int) -> LaurentPolynomial:
-        key = (lo, m, d)
-        f = factors.get(key)
+    def row_factor(boxes: tuple[tuple[int, int], ...]) -> LaurentPolynomial:
+        f = products.get(boxes)
         if f is None:
+            d = len(boxes) - 1
+            lo, m = boxes[d]
             *lower, top = entry_cut_pairs(((x, x + d) for x in range(lo, m + 1)), beta)
             if set_valued:
                 f = coordinate_weight_k(*top, n) - 1
@@ -193,32 +215,60 @@ def _restriction_sum(alpha: IsotropicIndex, beta: IsotropicIndex,
                     f = f * coordinate_weight_k(a, b, n)
             else:
                 f = coordinate_weight_h(*top, n)
-            factors[key] = f
+            f = row_factor(boxes[:d]) * f
+            products[boxes] = f
         return f
 
-    fillings = [_box_bounds(s, set_valued)
-                for s in enumerate_ssyt(sigma(alpha), sigma(beta))]
-    count = sum(1 << sum(m - lo for lo, m, _ in boxes) for boxes in fillings)
-    one = LaurentPolynomial.one(n)
-    value = LaurentPolynomial.sum_of(
-        n, (math.prod((factor(*box) for box in boxes), start=one) for boxes in fillings))
-    return value, count
+    column: dict[tuple[int, ...], tuple[LaurentPolynomial, int]] = {}
+    # the first row sits below a virtual row of zeros one box longer than mu_1
+    layer = {((), (0,) * (len(caps) + 1)): (one, 1)}
+    while layer:
+        shapes: dict[tuple[int, ...], list[tuple[LaurentPolynomial, int]]] = {}
+        groups: dict[tuple, list[tuple[LaurentPolynomial, int]]] = {}
+        for (prefix, prev), state in layer.items():
+            shapes.setdefault(prefix, []).append(state)
+            for row, los in _rows_below(prev, caps):
+                key = (prefix + (len(row),), row, los if set_valued else row)
+                groups.setdefault(key, []).append(state)
+        for shape, states in shapes.items():
+            value, count = _summed(n, states)
+            column[shape] = (-value if set_valued and sum(shape) % 2 else value, count)
+        merged: dict[tuple, list[tuple[LaurentPolynomial, int]]] = {}
+        for (shape, row, los), parents in groups.items():
+            value, count = _summed(n, parents)
+            merged.setdefault((shape, row), []).append(
+                (value * row_factor(tuple(zip(los, row))), count << (sum(row) - sum(los))))
+        layer = {key: _summed(n, parts) for key, parts in merged.items()}
+    return column
+
+
+def _summed(n: int, states: list[tuple[LaurentPolynomial, int]]
+            ) -> tuple[LaurentPolynomial, int]:
+    """The sums of the values and of the counts of (value, count) states."""
+    if len(states) == 1:
+        return states[0]
+    return (LaurentPolynomial.sum_of(n, (v for v, _ in states)),
+            sum(c for _, c in states))
+
+
+def _column_entry(alpha: IsotropicIndex, beta: IsotropicIndex,
+                  theory: str) -> tuple[LaurentPolynomial, int]:
+    """The signed value and tableau count at alpha, read from beta's column."""
+    n = _check_ranks(alpha, beta)
+    entry = _restriction_column(beta, theory).get(sigma(alpha))
+    return entry if entry is not None else (LaurentPolynomial.zero(n), 0)
 
 
 @functools.lru_cache(maxsize=None)
 def restrict_k(alpha: IsotropicIndex, beta: IsotropicIndex) -> RestrictionResult:
     """Restriction of the K-theory Schubert class of alpha at the fixed point beta."""
-    value, count = _restriction_sum(alpha, beta, "K")
-    if length(alpha) % 2:
-        value = -value
-    return RestrictionResult(alpha, beta, "K", value, count)
+    return RestrictionResult(alpha, beta, "K", *_column_entry(alpha, beta, "K"))
 
 
 @functools.lru_cache(maxsize=None)
 def restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> RestrictionResult:
     """Restriction of the cohomology Schubert class of alpha at beta."""
-    value, count = _restriction_sum(alpha, beta, "H")
-    return RestrictionResult(alpha, beta, "H", value, count)
+    return RestrictionResult(alpha, beta, "H", *_column_entry(alpha, beta, "H"))
 
 
 def restrict(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str) -> RestrictionResult:

@@ -88,6 +88,12 @@ class TestTableCommand:
             main(["table", "--n", "9", "--theory", "H"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("n,theory", [(7, "K"), (8, "H")])
+    def test_guard_per_theory(self, n, theory):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--n", str(n), "--theory", theory])
+        assert exc.value.code == 2
+
     def test_deterministic(self, capsys):
         _, out1 = run(capsys, "table", "--n", "2", "--theory", "H")
         _, out2 = run(capsys, "table", "--n", "2", "--theory", "H")
@@ -212,6 +218,12 @@ class TestVerifyRankGuard:
         assert code == 0
         data = json.loads(out)
         assert data["ok"] and data["reports"][0]["checks"] == 1024
+
+    def test_subword_n6_exhaustive(self, capsys):
+        code, out = run(capsys, "verify", "--n", "6", "--suite", "subword", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["ok"] and data["reports"][0]["checks"] == 4096
 
     def test_oracle_n5_exit_2(self):
         with pytest.raises(SystemExit) as exc:

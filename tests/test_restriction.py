@@ -7,6 +7,7 @@ from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial,
                     positive_roots, positivity_certificate, restrict, restrict_h,
                     restrict_k, restriction_table, root_for_entry, sigma)
 from lgrass.chart import tableau_cut_pairs
+from lgrass.restriction import _restriction_column
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
@@ -104,15 +105,16 @@ class TestRestrictH:
             restrict(ALPHA, BETA, "HH")
 
 
-class TestVanishingPattern:
-    def contained(self, lam, mu):
-        return len(lam) <= len(mu) and all(a <= b for a, b in zip(lam, mu))
+def contained(lam, mu):
+    return len(lam) <= len(mu) and all(a <= b for a, b in zip(lam, mu))
 
+
+class TestVanishingPattern:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_support_is_sigma_containment(self, n):
         for alpha in enumerate_isotropic(n):
             for beta in enumerate_isotropic(n):
-                expect = self.contained(sigma(alpha), sigma(beta))
+                expect = contained(sigma(alpha), sigma(beta))
                 assert (not restrict_h(alpha, beta).value.is_zero()) == expect
                 assert (not restrict_k(alpha, beta).value.is_zero()) == expect
 
@@ -217,6 +219,43 @@ class TestLiteralSum:
            st.sampled_from(enumerate_isotropic(5)))
     def test_sampled_pairs_n5(self, alpha, beta):
         assert_matches_literal(alpha, beta)
+
+
+class TestRestrictionColumn:
+    """One row DP per beta holds the restriction at every alpha."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_keys_are_contained_shapes(self, n):
+        points = enumerate_isotropic(n)
+        for beta in points:
+            inside = {sigma(a) for a in points if contained(sigma(a), sigma(beta))}
+            for theory in ("K", "H"):
+                assert set(_restriction_column(beta, theory)) == inside
+                for alpha in points:
+                    if sigma(alpha) not in inside:
+                        res = restrict(alpha, beta, theory)
+                        assert res.value.is_zero() and res.term_count == 0
+
+    @pytest.mark.parametrize("theory", ["K", "H"])
+    def test_results_hold_column_objects(self, theory):
+        restrict_k.cache_clear()
+        restrict_h.cache_clear()
+        beta = IsotropicIndex(3, (4, 5, 6))  # sigma(beta) = (3, 2, 1) holds every shape
+        points = enumerate_isotropic(3)
+        assert {length(a) % 2 for a in points} == {0, 1}
+        for alpha in points:
+            value, count = _restriction_column(beta, theory)[sigma(alpha)]
+            res = restrict(alpha, beta, theory)
+            assert res.value is value and res.term_count == count
+
+    def test_h_column_matches_literal_n5(self):
+        points = enumerate_isotropic(5)
+        for alpha in points:
+            for beta in points:
+                got = restrict_h(alpha, beta)
+                value, count = literal_sum(alpha, beta, "H")
+                assert got.value.terms() == value.terms()
+                assert got.term_count == count
 
 
 def later_only_pair(theory):
