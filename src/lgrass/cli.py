@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -22,9 +21,10 @@ from .oracles import run_verification
 from .restriction import restrict
 
 # Largest n per table theory, from measured cost on 2 Xeon cores: a cold
-# `table --n 6 --theory K --out json` takes 29-30 s and 1.4 GB (n=7 K was not
-# run: n=6 already holds 2.58 M monomials), and a cold `table --n 7 --theory H`
-# 122-127 s and 2.3 GB, half of it formatting 10.2 M monomials.
+# `table --n 6 --theory K --out json` takes 18.5 s and 490 MB, about 6 s of it
+# writing the JSON (n=7 K was not run: n=6 already holds 2.58 M monomials), and
+# a cold `table --n 7 --theory H` 71 s and 1.7 GB, about 30 s of it formatting
+# 10.2 M monomials.
 TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # Largest n per verify suite, from measured cost: gkm, chern and positivity
 # finish in seconds at n=5, the oracle raises ComponentLimitExceeded at n=5,
@@ -78,24 +78,25 @@ def _cmd_table(args) -> int:
     if args.n > limit:
         raise ValueError(f"table rank guard: n <= {limit} for --theory {args.theory}")
     points = enumerate_isotropic(args.n)
-    rows = {a: {b: restrict(a, b, args.theory).value for b in points}
-            for a in points}
+    out = sys.stdout
+    memo = {}  # exponent vector -> its rendered text, for this table only
     if args.out == "json":
-        payload = {
-            "n": args.n,
-            "theory": args.theory,
-            "points": [str(p) for p in points],
-            "rows": {str(a): {str(b): rows[a][b].to_json() for b in points}
-                     for a in points},
-        }
-        print(json.dumps(payload))
+        # the text of json.dumps of {"n", "theory", "points", "rows": {alpha:
+        # {beta: value.to_json()}}}, written one row at a time
+        keys = [json.dumps(str(p)) for p in points]
+        out.write('{"n": %d, "theory": %s, "points": %s, "rows": {'
+                  % (args.n, json.dumps(args.theory), json.dumps([str(p) for p in points])))
+        for i, a in enumerate(points):
+            cells = ", ".join(f"{key}: {restrict(a, b, args.theory).value._json_text(memo)}"
+                              for key, b in zip(keys, points))
+            out.write(f"{', ' if i else ''}{keys[i]}: {{{cells}}}")
+        out.write("}}\n")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(out)
         writer.writerow(["alpha\\beta"] + [str(b) for b in points])
         for a in points:
-            writer.writerow([str(a)] + [rows[a][b].pretty() for b in points])
-        print(buf.getvalue(), end="")
+            writer.writerow([str(a)] + [restrict(a, b, args.theory).value.pretty(memo)
+                                        for b in points])
     return 0
 
 

@@ -208,30 +208,44 @@ class LaurentPolynomial:
         return {"n": self.n,
                 "terms": [{"e": list(e), "c": c} for e, c in self.terms()]}
 
+    def _json_text(self, memo: dict) -> str:
+        """The text of ``json.dumps(self.to_json())``.
+
+        memo maps an exponent vector to its rendered ``{"e": [..], "c": ``
+        prefix, so a caller writing many polynomials renders each vector once.
+        """
+        terms = self._terms
+        parts = []
+        for exps in sorted(terms):  # the order of terms(), without comparing pairs
+            head = memo.get(exps)
+            if head is None:
+                head = memo[exps] = '{"e": [%s], "c": ' % ", ".join(map(str, exps))
+            parts.append(f"{head}{terms[exps]}}}")
+        return '{"n": %d, "terms": [%s]}' % (self.n, ", ".join(parts))
+
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPolynomial":
         return cls(data["n"], {tuple(t["e"]): t["c"] for t in data["terms"]})
 
-    def pretty(self) -> str:
-        """Human-readable rendering: products of t_i, inverses as 1/t_i."""
+    def pretty(self, memo: dict | None = None) -> str:
+        """Human-readable rendering: products of t_i, inverses as 1/t_i.
+
+        memo, if given, maps an exponent vector to its monomial text and is
+        filled as it goes, so a caller rendering many polynomials shares it.
+        """
         if not self._terms:
             return "0"
+        if memo is None:
+            memo = {}
+        terms = self._terms
         pieces = []
-        for exps, c in self.terms():
-            num = [f"t{i + 1}" + (f"^{e}" if e > 1 else "")
-                   for i, e in enumerate(exps) if e > 0]
-            den = [f"t{i + 1}" + (f"^{-e}" if e < -1 else "")
-                   for i, e in enumerate(exps) if e < 0]
-            mono = "*".join(num)
-            if den:
-                dstr = "*".join(den)
-                if len(den) > 1:
-                    dstr = f"({dstr})"
-                mono = (mono or "1") + "/" + dstr
-            if mono:
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            else:
-                body = str(abs(c))
+        for exps in sorted(terms):
+            mono = memo.get(exps)
+            if mono is None:
+                mono = memo[exps] = _monomial_text(exps)
+            c = terms[exps]
+            a = abs(c)
+            body = (mono if a == 1 else f"{a}*{mono}") if mono else str(a)
             pieces.append(("- " if c < 0 else "+ ") + body)
         first = pieces[0]
         first = ("-" + first[2:]) if first.startswith("- ") else first[2:]
@@ -242,6 +256,21 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"<laurent n={self.n} {self.pretty()}>"
+
+
+def _monomial_text(exps) -> str:
+    """t1^2*t3/(t2*t4) for (2, -1, 1, -1); the empty string for the constant 1."""
+    num = [f"t{i + 1}" + (f"^{e}" if e > 1 else "")
+           for i, e in enumerate(exps) if e > 0]
+    den = [f"t{i + 1}" + (f"^{-e}" if e < -1 else "")
+           for i, e in enumerate(exps) if e < 0]
+    mono = "*".join(num)
+    if den:
+        dstr = "*".join(den)
+        if len(den) > 1:
+            dstr = f"({dstr})"
+        mono = (mono or "1") + "/" + dstr
+    return mono
 
 
 def _checked_pairs(n: int, terms):
@@ -296,9 +325,14 @@ def _lowest_part(p: LaurentPolynomial, order: int):
     terms = p._terms
     for i in range(p.n):
         rows = {e: _binomial_row(e, order) for e in {key[i] for key in terms}}
-        terms = _collect((key[:i] + (k,) + key[i + 1:], c * b)
-                         for key, c in terms.items()
-                         for k, b in enumerate(rows[key[i]][:order + 1 - sum(key[:i])]))
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for key, c in terms.items():
+            head, tail = key[:i], key[i + 1:]
+            for k, b in enumerate(rows[key[i]][:order + 1 - sum(head)]):
+                x = head + (k,) + tail
+                acc[x] = get(x, 0) + c * b
+        terms = {x: c for x, c in acc.items() if c}
     if not terms:
         return None
     low = min(map(sum, terms))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -93,6 +94,21 @@ class TestTableCommand:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--n", str(n), "--theory", theory])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("theory,out,digest", [
+        ("K", "json", "70300642e2d1e5d8e5bb7db37b430df2f4d33c2e18e29309105e4c4a60421e97"),
+        ("H", "csv", "e631fce966321e0a16acee34bb485a8ad47b2432ad9888d7b2734a4883126034"),
+    ])
+    def test_pinned_bytes_n4(self, capsys, theory, out, digest):
+        code, text = run(capsys, "table", "--n", "4", "--theory", theory, "--out", out)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_guard_writes_nothing(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--n", "7", "--theory", "K", "--out", "json"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_deterministic(self, capsys):
         _, out1 = run(capsys, "table", "--n", "2", "--theory", "H")

@@ -260,3 +260,71 @@ class TestPretty:
     def test_coefficients(self):
         p = P(2, {(2, 0): 2, (0, 1): -3})
         assert p.pretty() == "-3*t2 + 2*t1^2"
+
+
+def pretty_reference(p):
+    """The rendering pretty() gave before it shared monomial text, term by term."""
+    if p.is_zero():
+        return "0"
+    pieces = []
+    for exps, c in p.terms():
+        num = [f"t{i + 1}" + (f"^{e}" if e > 1 else "")
+               for i, e in enumerate(exps) if e > 0]
+        den = [f"t{i + 1}" + (f"^{-e}" if e < -1 else "")
+               for i, e in enumerate(exps) if e < 0]
+        mono = "*".join(num)
+        if den:
+            dstr = "*".join(den)
+            if len(den) > 1:
+                dstr = f"({dstr})"
+            mono = (mono or "1") + "/" + dstr
+        if mono:
+            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        else:
+            body = str(abs(c))
+        pieces.append(("- " if c < 0 else "+ ") + body)
+    first = pieces[0]
+    first = ("-" + first[2:]) if first.startswith("- ") else first[2:]
+    return " ".join([first] + pieces[1:])
+
+
+@st.composite
+def poly_batches(draw):
+    """Polynomials in one n in 1..4, zero and constants included, to share one memo."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    exps = st.tuples(*([st.integers(min_value=-3, max_value=3)] * n))
+    coeffs = st.sampled_from([-7, -2, -1, 1, 2, 7]) | st.integers(min_value=-40, max_value=40)
+    batch = st.lists(st.dictionaries(exps, coeffs, max_size=6), min_size=1, max_size=6)
+    return [LaurentPolynomial(n, terms) for terms in draw(batch)]
+
+
+class TestTableRenderers:
+    """The table's memoized renderers give the bytes of the per-polynomial ones."""
+
+    @settings(max_examples=150)
+    @given(poly_batches())
+    def test_json_text_is_json_dumps(self, batch):
+        memo = {}
+        for p in batch + batch:
+            assert p._json_text(memo) == json.dumps(p.to_json())
+
+    @settings(max_examples=150)
+    @given(poly_batches())
+    def test_memoized_pretty(self, batch):
+        memo = {}
+        for p in batch + batch:
+            assert p.pretty(memo) == pretty_reference(p)
+            assert p.pretty() == pretty_reference(p)
+
+    @pytest.mark.parametrize("p", [
+        LaurentPolynomial.zero(1),
+        LaurentPolynomial.zero(3),
+        LaurentPolynomial.constant(1, -5),
+        P(1, {(0,): 1, (-1,): -1, (2,): 3}),
+        P(3, {(0, 0, 0): -1, (2, -1, 0): 1, (-1, -2, 1): -12, (1, 1, -1): 2}),
+    ], ids=["zero-n1", "zero-n3", "constant", "n1", "mixed"])
+    def test_named_cases(self, p):
+        memo_json, memo_text = {}, {}
+        assert p._json_text(memo_json) == json.dumps(p.to_json())
+        assert p.pretty(memo_text) == pretty_reference(p)
+        assert len(memo_json) == len(memo_text) == len(p.terms())
