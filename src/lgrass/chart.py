@@ -11,7 +11,7 @@ formulas.
 from __future__ import annotations
 
 from .indexing import IsotropicIndex, bar, sigma
-from .laurent import LaurentPolynomial, bar_var_k, bar_var_h
+from .laurent import LaurentPolynomial, bar_var_h
 from .tableaux import SetValuedShiftedTableau
 
 
@@ -46,12 +46,12 @@ def chart_index_set(beta: IsotropicIndex) -> ChartIndexSet:
 
 def coordinate_weight_k(a: int, b: int, n: int) -> LaurentPolynomial:
     """Torus character t_b / t_a of the coordinate y_ab, bar labels resolved."""
-    num = bar_var_k(b, n)
-    (eb, cb), = num.terms()
-    den = bar_var_k(a, n)
-    (ea, ca), = den.terms()
-    exps = tuple(x - y for x, y in zip(eb, ea))
-    return LaurentPolynomial.monomial(n, exps, cb * ca)
+    exps = [0] * n
+    for label, sign in ((b, 1), (a, -1)):
+        if label > n:  # t_bar(k) = 1/t_k
+            label, sign = bar(label, n), -sign
+        exps[label - 1] += sign
+    return LaurentPolynomial.monomial(n, exps)
 
 
 def coordinate_weight_h(a: int, b: int, n: int) -> LaurentPolynomial:

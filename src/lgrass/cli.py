@@ -21,15 +21,15 @@ from .oracles import run_verification
 from .restriction import restrict
 
 # Largest n per table theory, from measured cost on 2 Xeon cores: a cold
-# `table --n 6 --theory K --out json` takes 18.5 s and 490 MB, about 6 s of it
+# `table --n 6 --theory K --out json` takes 11 s and 340 MB, about 4 s of it
 # writing the JSON (n=7 K was not run: n=6 already holds 2.58 M monomials), and
-# a cold `table --n 7 --theory H` 71 s and 1.7 GB, about 30 s of it formatting
+# a cold `table --n 7 --theory H` 50 s and 1.2 GB, about 28 s of it formatting
 # 10.2 M monomials.
 TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # Largest n per verify suite, from measured cost: gkm, chern and positivity
 # finish in seconds at n=5, the oracle raises ComponentLimitExceeded at n=5,
-# and a cold `verify --n 6 --suite subword` takes about 3 s on 2 Xeon cores,
-# about 1.2 s of it the n=6 H columns.  --suite all takes the minimum.
+# and a cold `verify --n 6 --suite subword` takes about 1.5 s on 2 Xeon cores,
+# about 0.6 s of it the n=6 H columns.  --suite all takes the minimum.
 VERIFY_RANK_LIMITS = {"oracle": 4, "gkm": 5, "chern": 5, "positivity": 5, "subword": 6}
 
 
@@ -79,7 +79,7 @@ def _cmd_table(args) -> int:
         raise ValueError(f"table rank guard: n <= {limit} for --theory {args.theory}")
     points = enumerate_isotropic(args.n)
     out = sys.stdout
-    memo = {}  # exponent vector -> its rendered text, for this table only
+    memo = {}  # packed exponent key -> its rendered text, for this table only
     if args.out == "json":
         # the text of json.dumps of {"n", "theory", "points", "rows": {alpha:
         # {beta: value.to_json()}}}, written one row at a time

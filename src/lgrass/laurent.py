@@ -5,11 +5,22 @@ integer exponents, cohomology classes are the sub-case with nonnegative
 exponents.  The bar conventions t_bar(k) = 1/t_k (K) and t_bar(k) = -t_k
 (cohomology) are provided as constructors.
 
-Every result is built by one collector, ``_collect``, which sums
-(exponents, coefficient) pairs and drops zeros: the constructor, ``sum_of``,
-``+`` and ``*`` all feed it.  The divisibility tests needed for moment-graph
-checks use one exact substitution, t_i -> s * t_j^p with s in {1, -1, 0}:
-a root divides p when every image of p on the root's zero set vanishes.
+A polynomial is a dict from packed exponent keys to nonzero coefficients.
+The key of (e_1, ..., e_n) is one int holding each exponent in a W-bit
+field, biased by HALF = 2^(W-1) and with the first variable most
+significant: key = sum_i (e_i + HALF) << W(n - i).  Every field is then
+nonnegative, so int order on keys is lexicographic order on exponent
+vectors, and multiplying two monomials is one int add, k1 + k2 - bias(n).
+Exponents must satisfy |e| < HALF: the constructors raise OverflowError
+on a larger one, and so do ``*`` and ``**`` when the exponent bounds of
+their operands could sum past a field.  Each polynomial carries such a
+bound (the largest |e| it may hold), updated in O(1) by ``+``, ``*`` and
+``sum_of``.  ``+``, ``*`` and ``sum_of`` accumulate straight into one dict
+and drop zeros; the public API speaks exponent tuples.
+
+The divisibility tests needed for moment-graph checks use one exact
+substitution, t_i -> s * t_j^p with s in {1, -1, 0}: a root divides p when
+every image of p on the root's zero set vanishes.
 
 The lowest-degree (Chern) form of p is the lowest homogeneous part of
 p(e^{-u}) in u.  Since x_i = 1 - e^{-u_i} = u_i + O(u^2), it equals the
@@ -21,24 +32,72 @@ for e = -m, dropping every term above a degree bound as soon as it appears.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import comb
-from operator import add
 
 from .indexing import bar
+
+W = 16  # bits per exponent field of a packed key
+HALF = 1 << (W - 1)  # the bias; an exponent e is stored as e + HALF
+_MASK = (1 << W) - 1
+
+
+def _bias(n: int) -> int:
+    """The key of the zero exponent vector: HALF in each of n fields."""
+    return HALF * ((1 << W * n) - 1) // _MASK
+
+
+def _pack(exps, n: int) -> int:
+    """The key of an exponent vector of length n with every |e| < HALF."""
+    key = 0
+    count = 0
+    for e in exps:
+        if not -HALF < e < HALF:
+            raise OverflowError(f"exponent {e} outside the field range |e| < {HALF}")
+        key = (key << W) | (e + HALF)
+        count += 1
+    if count != n:
+        raise ValueError(f"exponent vector {tuple(exps)} has wrong length")
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponent vector of a key, first variable first."""
+    return tuple(((key >> s) & _MASK) - HALF for s in range(W * (n - 1), -1, -W))
+
+
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    return {k: c for k, c in terms.items() if c}
 
 
 class LaurentPolynomial:
     """Sparse map from exponent vectors in Z^n to nonzero integer coefficients."""
 
-    __slots__ = ("n", "_terms", "_hash")
+    __slots__ = ("n", "_terms", "_bound", "_hash")
 
     def __init__(self, n: int, terms=None) -> None:
         if n < 0:
             raise ValueError("variable count must be >= 0")
+        acc: dict[int, int] = {}
+        bound = 0
+        for exps, coeff in (terms.items() if isinstance(terms, dict) else terms or ()):
+            exps = [int(e) for e in exps]
+            key = _pack(exps, n)
+            acc[key] = acc.get(key, 0) + int(coeff)
+            bound = max(bound, max(map(abs, exps), default=0))
         self.n = n
-        self._terms = _collect(_checked_pairs(n, terms)) if terms else {}
+        self._terms = _nonzero(acc)
+        self._bound = bound
         self._hash = None
+
+    @classmethod
+    def _of(cls, n: int, terms: dict[int, int], bound: int) -> "LaurentPolynomial":
+        """The polynomial of trusted packed terms, all nonzero, |e| <= bound < HALF."""
+        out = object.__new__(cls)
+        out.n = n
+        out._terms = terms
+        out._bound = bound
+        out._hash = None
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -48,41 +107,48 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls, n: int) -> "LaurentPolynomial":
-        return cls(n, {(0,) * n: 1})
+        return cls.constant(n, 1)
 
     @classmethod
     def constant(cls, n: int, c: int) -> "LaurentPolynomial":
-        return cls(n, {(0,) * n: c})
+        if n < 0:
+            raise ValueError("variable count must be >= 0")
+        c = int(c)
+        return cls._of(n, {_bias(n): c} if c else {}, 0)
 
     @classmethod
     def monomial(cls, n: int, exps, coeff: int = 1) -> "LaurentPolynomial":
-        return cls(n, {tuple(exps): coeff})
+        exps = [int(e) for e in exps]
+        key = _pack(exps, n)
+        coeff = int(coeff)
+        return cls._of(n, {key: coeff} if coeff else {}, max(map(abs, exps), default=0))
 
     @classmethod
     def sum_of(cls, n: int, polys) -> "LaurentPolynomial":
         """The sum of an iterable of polynomials, accumulated in one dict."""
-        def terms_of(p):
+        terms: dict[int, int] = {}
+        get = terms.get
+        bound = 0
+        for p in polys:
             if p.n != n:
                 raise ValueError(f"variable counts differ: {n} vs {p.n}")
-            return p._terms.items()
-
-        return cls._from_pairs(n, chain.from_iterable(map(terms_of, polys)))
-
-    @classmethod
-    def _from_pairs(cls, n: int, pairs, start=()) -> "LaurentPolynomial":
-        """The polynomial of trusted (exponents, coefficient) pairs, summed onto start."""
-        out = cls(n)
-        out._terms = _collect(pairs, start)
-        return out
+            bound = max(bound, p._bound)
+            if terms:
+                for k, c in p._terms.items():
+                    terms[k] = get(k, 0) + c
+            else:  # the first nonzero summand is copied whole
+                terms = dict(p._terms)
+                get = terms.get
+        return cls._of(n, _nonzero(terms), bound)
 
     @classmethod
     def var(cls, n: int, i: int, power: int = 1) -> "LaurentPolynomial":
         """The monomial t_i^power, i in 1..n."""
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
-        exps = [0] * n
-        exps[i - 1] = power
-        return cls(n, {tuple(exps): 1})
+        if not -HALF < power < HALF:
+            raise OverflowError(f"exponent {power} outside the field range |e| < {HALF}")
+        return cls._of(n, {_bias(n) + (power << W * (n - i)): 1}, abs(power))
 
     # -- ring operations ----------------------------------------------
 
@@ -94,18 +160,23 @@ class LaurentPolynomial:
         if isinstance(other, int):
             other = LaurentPolynomial.constant(self.n, other)
         self._check(other)
-        return LaurentPolynomial._from_pairs(self.n, other._terms.items(), self._terms)
+        terms = dict(self._terms)
+        get = terms.get
+        for k, c in other._terms.items():
+            c += get(k, 0)
+            if c:
+                terms[k] = c
+            else:
+                del terms[k]
+        return LaurentPolynomial._of(self.n, terms, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPolynomial(self.n)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return LaurentPolynomial._of(self.n, {k: -c for k, c in self._terms.items()},
+                                     self._bound)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPolynomial.constant(self.n, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -113,13 +184,25 @@ class LaurentPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            pairs = ((e, c * other) for e, c in self._terms.items())
-        else:
-            self._check(other)
-            pairs = ((tuple(map(add, e1, e2)), c1 * c2)
-                     for e1, c1 in self._terms.items()
-                     for e2, c2 in other._terms.items())
-        return LaurentPolynomial._from_pairs(self.n, pairs)
+            terms = {k: c * other for k, c in self._terms.items()} if other else {}
+            return LaurentPolynomial._of(self.n, terms, self._bound)
+        self._check(other)
+        bound = self._bound + other._bound
+        if bound >= HALF:
+            raise OverflowError(f"product exponents may reach {bound}, past |e| < {HALF}")
+        left, right = self._terms, other._terms
+        if len(left) > len(right):
+            left, right = right, left
+        # k1 + k2 - bias is the product's key; take the bias off one side once
+        bias = _bias(self.n)
+        shifted = [(k - bias, c) for k, c in right.items()]
+        terms: dict[int, int] = {}
+        get = terms.get
+        for k1, c1 in left.items():
+            for k2, c2 in shifted:
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+        return LaurentPolynomial._of(self.n, _nonzero(terms), bound)
 
     __rmul__ = __mul__
 
@@ -138,20 +221,23 @@ class LaurentPolynomial:
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms sorted lexicographically on the exponent vectors."""
-        return sorted(self._terms.items())
+        terms, n = self._terms, self.n
+        return [(_unpack(k, n), terms[k]) for k in sorted(terms)]
 
     def coefficient(self, exps) -> int:
-        return self._terms.get(tuple(exps), 0)
+        return self._terms.get(_pack([int(e) for e in exps], self.n), 0)
+
+    def _degrees(self) -> set[int]:
+        n = self.n
+        return {sum(_unpack(k, n)) for k in self._terms}
 
     def total_degrees(self) -> tuple[int, int]:
         """(min, max) total degree over the support; (0, 0) for the zero poly."""
-        if not self._terms:
-            return (0, 0)
-        degs = [sum(e) for e in self._terms]
-        return (min(degs), max(degs))
+        degs = self._degrees()
+        return (min(degs), max(degs)) if degs else (0, 0)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = {sum(e) for e in self._terms}
+        degs = self._degrees()
         if not degs:
             return True
         if len(degs) > 1:
@@ -159,7 +245,9 @@ class LaurentPolynomial:
         return degree is None or degs == {degree}
 
     def has_negative_exponent(self) -> bool:
-        return any(e < 0 for exps in self._terms for e in exps)
+        # a field holds e + HALF, so its top bit, HALF, is set iff e >= 0
+        high = _bias(self.n)
+        return any(k & high != high for k in self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -184,23 +272,29 @@ class LaurentPolynomial:
         s is 1, -1 or 0.  The sign of s^k is the parity of k, so the image
         stays in integers for negative k too; s = 0 needs k >= 0.
         """
-        def image():
-            for exps, c in self._terms.items():
-                k = exps[i - 1]
-                if k and s != 1:
-                    if not s:
-                        if k < 0:
-                            raise ValueError("t_i -> 0 undefined on negative exponents")
-                        continue
-                    if k & 1:
-                        c = -c
-                e = list(exps)
-                e[i - 1] = 0
-                if j is not None:
-                    e[j - 1] += p * k
-                yield tuple(e), c
-
-        return LaurentPolynomial._from_pairs(self.n, image())
+        n = self.n
+        shift = W * (n - i)
+        bound = self._bound
+        if j is not None:
+            bound += abs(p) * bound
+            if bound >= HALF:
+                raise OverflowError(f"image exponents may reach {bound}, past |e| < {HALF}")
+        terms: dict[int, int] = {}
+        get = terms.get
+        for key, c in self._terms.items():
+            k = ((key >> shift) & _MASK) - HALF
+            if k and s != 1:
+                if not s:
+                    if k < 0:
+                        raise ValueError("t_i -> 0 undefined on negative exponents")
+                    continue
+                if k & 1:
+                    c = -c
+            key -= k << shift
+            if j is not None:
+                key += p * k << W * (n - j)
+            terms[key] = get(key, 0) + c
+        return LaurentPolynomial._of(n, _nonzero(terms), bound)
 
     # -- serialization ---------------------------------------------------
 
@@ -211,17 +305,17 @@ class LaurentPolynomial:
     def _json_text(self, memo: dict) -> str:
         """The text of ``json.dumps(self.to_json())``.
 
-        memo maps an exponent vector to its rendered ``{"e": [..], "c": ``
+        memo maps a packed exponent key to its rendered ``{"e": [..], "c": ``
         prefix, so a caller writing many polynomials renders each vector once.
         """
-        terms = self._terms
+        terms, n = self._terms, self.n
         parts = []
-        for exps in sorted(terms):  # the order of terms(), without comparing pairs
-            head = memo.get(exps)
+        for key in sorted(terms):
+            head = memo.get(key)
             if head is None:
-                head = memo[exps] = '{"e": [%s], "c": ' % ", ".join(map(str, exps))
-            parts.append(f"{head}{terms[exps]}}}")
-        return '{"n": %d, "terms": [%s]}' % (self.n, ", ".join(parts))
+                head = memo[key] = '{"e": [%s], "c": ' % ", ".join(map(str, _unpack(key, n)))
+            parts.append(f"{head}{terms[key]}}}")
+        return '{"n": %d, "terms": [%s]}' % (n, ", ".join(parts))
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPolynomial":
@@ -230,20 +324,20 @@ class LaurentPolynomial:
     def pretty(self, memo: dict | None = None) -> str:
         """Human-readable rendering: products of t_i, inverses as 1/t_i.
 
-        memo, if given, maps an exponent vector to its monomial text and is
+        memo, if given, maps a packed exponent key to its monomial text and is
         filled as it goes, so a caller rendering many polynomials shares it.
         """
         if not self._terms:
             return "0"
         if memo is None:
             memo = {}
-        terms = self._terms
+        terms, n = self._terms, self.n
         pieces = []
-        for exps in sorted(terms):
-            mono = memo.get(exps)
+        for key in sorted(terms):
+            mono = memo.get(key)
             if mono is None:
-                mono = memo[exps] = _monomial_text(exps)
-            c = terms[exps]
+                mono = memo[key] = _monomial_text(_unpack(key, n))
+            c = terms[key]
             a = abs(c)
             body = (mono if a == 1 else f"{a}*{mono}") if mono else str(a)
             pieces.append(("- " if c < 0 else "+ ") + body)
@@ -273,27 +367,6 @@ def _monomial_text(exps) -> str:
     return mono
 
 
-def _checked_pairs(n: int, terms):
-    """(exponents, coefficient) pairs of a dict or iterable, as int tuples of length n."""
-    for exps, coeff in (terms.items() if isinstance(terms, dict) else terms):
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != n:
-            raise ValueError(f"exponent vector {exps} has wrong length")
-        yield exps, int(coeff)
-
-
-def _collect(pairs, start=()) -> dict[tuple[int, ...], int]:
-    """Sum (exponents, coefficient) pairs into a copy of start, dropping zeros."""
-    terms: dict[tuple[int, ...], int] = dict(start) if start else {}
-    for exps, c in pairs:
-        cur = terms.get(exps, 0) + c
-        if cur:
-            terms[exps] = cur
-        else:
-            terms.pop(exps, None)
-    return terms
-
-
 def bar_var_k(label: int, n: int) -> LaurentPolynomial:
     """K-theory variable for a letter in 1..2n: t_k, or 1/t_k for bar(k)."""
     if label <= n:
@@ -318,26 +391,38 @@ def _binomial_row(e: int, order: int) -> list[int]:
 def _lowest_part(p: LaurentPolynomial, order: int):
     """Lowest nonzero homogeneous part of p(1 - x) up to x-degree order, or None.
 
-    Variable i is expanded at step i: positions before i of a key hold
+    Variable i is expanded at step i: fields before i of a key hold
     x-exponents, the rest still t-exponents, so terms sharing both merge.
-    Terms of x-degree above ``order`` are dropped as soon as they appear.
+    One more field above the n exponent fields holds the x-degree so far,
+    and terms of x-degree above ``order`` are dropped as soon as they appear.
     """
+    if order >= HALF:
+        raise OverflowError(f"x-degree bound {order} past |e| < {HALF}")
+    n = p.n
+    top = W * n
     terms = p._terms
-    for i in range(p.n):
-        rows = {e: _binomial_row(e, order) for e in {key[i] for key in terms}}
-        acc: dict[tuple[int, ...], int] = {}
+    for i in range(n):
+        shift = W * (n - 1 - i)
+        step = (1 << shift) + (1 << top)  # x_i^1, and one more x-degree
+        rows: dict[int, list[int]] = {}
+        acc: dict[int, int] = {}
         get = acc.get
         for key, c in terms.items():
-            head, tail = key[:i], key[i + 1:]
-            for k, b in enumerate(rows[key[i]][:order + 1 - sum(head)]):
-                x = head + (k,) + tail
+            e = ((key >> shift) & _MASK) - HALF
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = _binomial_row(e, order)
+            x = key - (e << shift)
+            for b in row[:order + 1 - (key >> top)]:
                 acc[x] = get(x, 0) + c * b
-        terms = {x: c for x, c in acc.items() if c}
+                x += step
+        terms = _nonzero(acc)
     if not terms:
         return None
-    low = min(map(sum, terms))
-    return LaurentPolynomial._from_pairs(
-        p.n, ((x, c) for x, c in terms.items() if sum(x) == low))
+    low = min(key >> top for key in terms)
+    mask = (1 << top) - 1
+    return LaurentPolynomial._of(
+        n, {key & mask: c for key, c in terms.items() if key >> top == low}, low)
 
 
 def lowest_degree_form(p: LaurentPolynomial, order: int | None = None) -> LaurentPolynomial:
@@ -356,8 +441,9 @@ def lowest_degree_form(p: LaurentPolynomial, order: int | None = None) -> Lauren
         low = _lowest_part(p, max(order, 0))
         if low is not None:
             return low
-    shift = sum(min(0, *col) for col in zip(*p._terms))
-    return _lowest_part(p, max(map(sum, p._terms)) - shift)
+    exps = [_unpack(k, p.n) for k in p._terms]
+    shift = sum(min(0, *col) for col in zip(*exps))
+    return _lowest_part(p, max(map(sum, exps)) - shift)
 
 
 def _parse_root(theta: LaurentPolynomial) -> list[tuple[int, int]]:

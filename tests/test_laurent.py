@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lgrass
 from lgrass import (LaurentPolynomial, bar_var_h, bar_var_k, divisible_by_k_root,
                     divisible_by_root_h, lowest_degree_form)
+from lgrass.laurent import HALF
 from lgrass.restriction import positive_roots
 
 from helpers import exp_series_lowest_form
@@ -21,6 +26,10 @@ def var(i, n=3, power=1):
 exponents = st.tuples(*([st.integers(min_value=-3, max_value=3)] * 2))
 polys = st.dictionaries(exponents, st.integers(min_value=-5, max_value=5),
                         max_size=5).map(lambda d: LaurentPolynomial(2, d))
+# small exponents, which collide, and exponents at the packed field's limit |e| < HALF
+wide_exponents = (st.integers(min_value=-3, max_value=3)
+                  | st.integers(min_value=HALF - 3, max_value=HALF - 1)
+                  | st.integers(min_value=-HALF + 1, max_value=-HALF + 3))
 
 
 class TestArithmetic:
@@ -84,6 +93,89 @@ class TestArithmetic:
         p = P(3, {(0, 0, 0): 1, (-2, 0, 0): 1, (0, -1, 1): -1})
         assert [t["e"] for t in p.to_json()["terms"]] == [
             [-2, 0, 0], [0, -1, 1], [0, 0, 0]]
+
+
+@st.composite
+def wide_terms(draw):
+    """(n, {exponents: coefficient}) with n in 1..4, zero coefficients included."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    exps = st.tuples(*([wide_exponents] * n))
+    return n, draw(st.dictionaries(exps, st.integers(min_value=-40, max_value=40), max_size=8))
+
+
+class TestPackedKeys:
+    """Exponent vectors are stored as packed ints; the API still speaks tuples."""
+
+    @settings(max_examples=150)
+    @given(wide_terms())
+    def test_tuple_api(self, nd):
+        n, d = nd
+        p = LaurentPolynomial(n, d)
+        assert p.terms() == sorted((e, c) for e, c in d.items() if c)
+        for e, c in d.items():
+            assert p.coefficient(e) == c
+        assert LaurentPolynomial.from_json(json.loads(json.dumps(p.to_json()))) == p
+        degs = [sum(e) for e, _ in p.terms()]
+        assert p.total_degrees() == ((min(degs), max(degs)) if degs else (0, 0))
+        assert p.is_homogeneous() == (len(set(degs)) <= 1)
+        assert p.has_negative_exponent() == any(x < 0 for e, _ in p.terms() for x in e)
+
+    @pytest.mark.parametrize("e", [HALF, -HALF, HALF + 1, -HALF - 1])
+    def test_out_of_range_exponent_raises(self, e):
+        with pytest.raises(OverflowError):
+            LaurentPolynomial(2, {(0, e): 1})
+        with pytest.raises(OverflowError):
+            LaurentPolynomial.monomial(2, (e, 0))
+        with pytest.raises(OverflowError):
+            LaurentPolynomial.var(2, 1, e)
+        with pytest.raises(OverflowError):
+            LaurentPolynomial.one(2).coefficient((e, 0))
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_product_at_the_limit(self, s):
+        top = s * (HALF - 1)
+        # the last field reaches the limit without carrying into the first
+        p = LaurentPolynomial.var(2, 2, s * (HALF - 2)) * LaurentPolynomial.var(2, 2, s)
+        assert p.terms() == [((0, top), 1)]
+        assert LaurentPolynomial.var(2, 1, top) == LaurentPolynomial.monomial(2, (top, 0))
+        with pytest.raises(OverflowError):
+            LaurentPolynomial.var(2, 2, top) * LaurentPolynomial.var(2, 1, s)
+
+    def test_bound_carried_through_sums(self):
+        t = LaurentPolynomial.var(2, 1)
+        big = LaurentPolynomial.var(2, 2, HALF - 1)
+        for p in (t + big, big - t, 1 - big, 3 * big, LaurentPolynomial.sum_of(2, [t, big])):
+            with pytest.raises(OverflowError):
+                p * t
+        # the bound is of the operands, not of the result: t^(HALF-1) * t^-1 is refused too
+        with pytest.raises(OverflowError):
+            big * LaurentPolynomial.var(2, 2, -1)
+
+    def test_pow_at_the_limit(self):
+        assert HALF - 1 == 151 * 217
+        t = LaurentPolynomial.var(1, 1, 151)
+        assert (t ** 217).terms() == [((HALF - 1,), 1)]
+        with pytest.raises(OverflowError):
+            t ** 218
+
+    def test_substitution_and_lowest_form_limits(self):
+        p = LaurentPolynomial.var(2, 1, HALF // 2 - 1)
+        assert p._substitute(1, 1, 2, -1) == LaurentPolynomial.var(2, 2, -(HALF // 2 - 1))
+        with pytest.raises(OverflowError):
+            LaurentPolynomial.var(2, 1, HALF // 2)._substitute(1, 1, 2, -1)
+        with pytest.raises(OverflowError):
+            lowest_degree_form(LaurentPolynomial.var(2, 1) - 1, order=HALF)
+
+    def test_guard_survives_optimize_flag(self):
+        code = ("from lgrass import LaurentPolynomial as L\n"
+                "from lgrass.laurent import HALF\n"
+                "try:\n"
+                "    L.var(1, 1, HALF - 1) * L.var(1, 1, 1)\n"
+                "except OverflowError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lgrass.__file__)))
+        assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 class TestBarVariables:
@@ -292,7 +384,7 @@ def pretty_reference(p):
 def poly_batches(draw):
     """Polynomials in one n in 1..4, zero and constants included, to share one memo."""
     n = draw(st.integers(min_value=1, max_value=4))
-    exps = st.tuples(*([st.integers(min_value=-3, max_value=3)] * n))
+    exps = st.tuples(*([wide_exponents] * n))
     coeffs = st.sampled_from([-7, -2, -1, 1, 2, 7]) | st.integers(min_value=-40, max_value=40)
     batch = st.lists(st.dictionaries(exps, coeffs, max_size=6), min_size=1, max_size=6)
     return [LaurentPolynomial(n, terms) for terms in draw(batch)]
