@@ -26,11 +26,14 @@ from .restriction import restrict
 # a cold `table --n 7 --theory H` 50 s and 1.2 GB, about 28 s of it formatting
 # 10.2 M monomials.
 TABLE_RANK_LIMITS = {"K": 6, "H": 7}
-# Largest n per verify suite, from measured cost: gkm, chern and positivity
-# finish in seconds at n=5, the oracle raises ComponentLimitExceeded at n=5,
-# and a cold `verify --n 6 --suite subword` takes about 1.5 s on 2 Xeon cores,
-# about 0.6 s of it the n=6 H columns.  --suite all takes the minimum.
-VERIFY_RANK_LIMITS = {"oracle": 4, "gkm": 5, "chern": 5, "positivity": 5, "subword": 6}
+# Largest n per verify suite, from measured cost on 2 shared Xeon cores: a
+# cold `verify --n 6 --suite gkm` takes 45-53 s and 350 MB (86 016 edge
+# checks, about 6 s of it the n=6 K and H columns), `--suite positivity`
+# 5-6 s (8 192 certificates) and `--suite subword` about 1.5 s (about 0.6 s
+# of it the n=6 H columns).  chern was not run at n=6 (n=5 takes about 3.5 s
+# on 94 616 monomials, n=6 has 2.58 M), and the oracle raises
+# ComponentLimitExceeded at n=5.  --suite all takes the minimum.
+VERIFY_RANK_LIMITS = {"oracle": 4, "gkm": 6, "chern": 5, "positivity": 6, "subword": 6}
 
 
 def parse_index(text: str, n: int) -> IsotropicIndex:

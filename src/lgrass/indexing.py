@@ -10,6 +10,7 @@ combinatorics downstream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 
@@ -156,8 +157,13 @@ def rho(lam) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
 def sigma(alpha: IsotropicIndex) -> tuple[int, ...]:
-    """The bijection I_n -> M_n (strict partitions with first part <= n)."""
+    """The bijection I_n -> M_n (strict partitions with first part <= n).
+
+    Memoized: the verification suites ask for it about ten thousand times at
+    n=4, and there are only 2^n keys per rank.
+    """
     return rho(pi(alpha))
 
 

@@ -20,7 +20,9 @@ and drop zeros; the public API speaks exponent tuples.
 
 The divisibility tests needed for moment-graph checks use one exact
 substitution, t_i -> s * t_j^p with s in {1, -1, 0}: a root divides p when
-every image of p on the root's zero set vanishes.
+every image of p on the root's zero set vanishes.  ``root_images`` lists
+those substitutions for one root, so a caller comparing many pairs of
+polynomials along one root parses it once.
 
 The lowest-degree (Chern) form of p is the lowest homogeneous part of
 p(e^{-u}) in u.  Since x_i = 1 - e^{-u_i} = u_i + O(u^2), it equals the
@@ -270,31 +272,44 @@ class LaurentPolynomial:
         """Exact image under t_i -> s * t_j^p, or t_i -> s when j is None.
 
         s is 1, -1 or 0.  The sign of s^k is the parity of k, so the image
-        stays in integers for negative k too; s = 0 needs k >= 0.
+        stays in integers for negative k too; s = 0 needs k >= 0.  A term
+        whose t_i-exponent is k moves by k * move: k fields down at i and,
+        when j is given, p * k fields up at j.
         """
         n = self.n
         shift = W * (n - i)
         bound = self._bound
+        move = -(1 << shift)
         if j is not None:
             bound += abs(p) * bound
             if bound >= HALF:
                 raise OverflowError(f"image exponents may reach {bound}, past |e| < {HALF}")
+            move += p << W * (n - j)
+        source = self._terms
         terms: dict[int, int] = {}
         get = terms.get
-        for key, c in self._terms.items():
-            k = ((key >> shift) & _MASK) - HALF
-            if k and s != 1:
-                if not s:
-                    if k < 0:
-                        raise ValueError("t_i -> 0 undefined on negative exponents")
-                    continue
-                if k & 1:
-                    c = -c
-            key -= k << shift
-            if j is not None:
-                key += p * k << W * (n - j)
-            terms[key] = get(key, 0) + c
-        return LaurentPolynomial._of(n, _nonzero(terms), bound)
+        if s == 1:
+            for key, c in source.items():
+                key += (((key >> shift) & _MASK) - HALF) * move
+                terms[key] = get(key, 0) + c
+        elif s == -1:
+            for key, c in source.items():
+                k = ((key >> shift) & _MASK) - HALF
+                key += k * move
+                terms[key] = get(key, 0) + (-c if k & 1 else c)
+        elif s == 0:
+            for key, c in source.items():
+                k = ((key >> shift) & _MASK) - HALF
+                if k < 0:
+                    raise ValueError("t_i -> 0 undefined on negative exponents")
+                if not k:  # the key is unchanged, so no two of these collide
+                    terms[key] = c
+            return LaurentPolynomial._of(n, terms, bound)
+        else:
+            raise ValueError(f"substitution sign must be 1, -1 or 0, got {s}")
+        if len(terms) < len(source):  # only terms that met can have cancelled
+            terms = _nonzero(terms)
+        return LaurentPolynomial._of(n, terms, bound)
 
     # -- serialization ---------------------------------------------------
 
@@ -465,35 +480,46 @@ def _parse_root(theta: LaurentPolynomial) -> list[tuple[int, int]]:
     return entries
 
 
+def root_images(theta: LaurentPolynomial, theory: str) -> tuple[tuple, ...]:
+    """``_substitute`` arguments whose images of p all vanish iff theta divides p.
+
+    theta is a root form +-t_i +- t_j or +-c t_i (c in 1, 2).  In H ("divides"
+    means theta | p, p with nonnegative exponents) they solve theta = 0:
+    t_i -> 0 for c t_i and t_i -> -ab t_j for a t_i + b t_j.  In K (p in the
+    ideal (1 - e^{-theta}) of the Laurent ring) they cover the subtorus
+    e^theta = 1: t_i -> t_j for +-(t_i - t_j), t_i -> 1/t_j for +-(t_i + t_j),
+    t_i -> 1 for +-t_i, and both t_i -> 1 and t_i -> -1 for +-2t_i (over the
+    integers, p = A + t_i B mod t_i^2 - 1 vanishes iff A + B and A - B do).
+    Each image is a ring homomorphism, so p1 - p2 is divisible iff p1 and p2
+    have equal images.
+    """
+    (i, a), *rest = _parse_root(theta)
+    if theory == "H":
+        if rest:
+            (j, b), = rest
+            return ((i, -a * b, j),)
+        return ((i, 0),)
+    if rest:
+        (j, b), = rest
+        return ((i, 1, j, -1 if a * b > 0 else 1),)
+    return ((i, 1), (i, -1)) if abs(a) == 2 else ((i, 1),)
+
+
 def divisible_by_root_h(p: LaurentPolynomial, theta: LaurentPolynomial) -> bool:
     """Whether the linear form theta (a root +-t_i +- t_j or +-2t_i) divides p.
 
-    Checked by exact elimination: p vanishes identically after substituting
-    a solution of theta = 0, t_i -> 0 for c t_i and t_i -> -ab t_j for
-    a t_i + b t_j.  Requires p to have nonnegative exponents.
+    Checked by exact elimination on the images of ``root_images(theta, "H")``.
+    Requires p to have nonnegative exponents.
     """
     if p.has_negative_exponent():
         raise ValueError("cohomology divisibility needs nonnegative exponents")
-    (i, a), *rest = _parse_root(theta)
-    if rest:
-        (j, b), = rest
-        return p._substitute(i, -a * b, j).is_zero()
-    return p._substitute(i, 0).is_zero()
+    return all(p._substitute(*args).is_zero() for args in root_images(theta, "H"))
 
 
 def divisible_by_k_root(p: LaurentPolynomial, theta: LaurentPolynomial) -> bool:
     """Whether p lies in the ideal (1 - e^{-theta}) of the Laurent ring.
 
-    Equivalent to vanishing on the subtorus e^theta = 1, which is checked by
-    exact substitution: t_i -> t_j for +-(t_i - t_j), t_i -> 1/t_j for
-    +-(t_i + t_j), t_i -> 1 for +-t_i, and both t_i -> 1 and t_i -> -1 for
-    +-2t_i (over the integers, p = A + t_i B mod t_i^2 - 1 vanishes iff
-    A + B and A - B do).
+    Equivalent to vanishing on the subtorus e^theta = 1, checked by exact
+    substitution on the images of ``root_images(theta, "K")``.
     """
-    (i, a), *rest = _parse_root(theta)
-    if rest:
-        (j, b), = rest
-        images = [(i, 1, j, -1 if a * b > 0 else 1)]
-    else:
-        images = [(i, 1), (i, -1)] if abs(a) == 2 else [(i, 1)]
-    return all(p._substitute(*args).is_zero() for args in images)
+    return all(p._substitute(*args).is_zero() for args in root_images(theta, "K"))

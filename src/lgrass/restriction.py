@@ -40,9 +40,10 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .chart import (coordinate_weight_h, coordinate_weight_k, entry_cut_pairs,
+# length and tableau_cut_pairs are unused here but stay importable:
+# bench/tracer.py patches them by name
+from .chart import (coordinate_weight_h, coordinate_weight_k, entry_cut_pairs,  # noqa: F401
                     tableau_cut_pairs)
-# length is unused here but stays importable: bench/tracer.py patches it by name
 from .indexing import IsotropicIndex, bar, enumerate_isotropic, length, sigma  # noqa: F401
 from .laurent import LaurentPolynomial
 from .tableaux import enumerate_ssvt, enumerate_ssyt
@@ -138,8 +139,11 @@ def root_for_entry(x: int, z: int, beta: IsotropicIndex) -> PositiveRoot:
     standard form is t_a + t_b (b <= n, a < b), 2t_a (a = b), or t_a - t_c
     with c = bar(b) (b > n).
     """
-    n = beta.n
-    bp = beta.complement().values
+    return _root_at(x, z, beta.complement().values, beta.n)
+
+
+def _root_at(x: int, z: int, bp: tuple[int, ...], n: int) -> PositiveRoot:
+    """``root_for_entry`` with the complement values bp = beta' given."""
     if x > n or z > n:
         raise CertificateError(f"entry indices ({x}, {z}) exceed rank {n}")
     a, b = bp[x - 1], bp[z - 1]
@@ -277,27 +281,36 @@ def restrict(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str) -> Restri
     return restrict_k(alpha, beta) if theory == "K" else restrict_h(alpha, beta)
 
 
-def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex,
-                           theory: str) -> list[list[PositiveRoot]]:
+def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str,
+                           checked: dict | None = None) -> list[list[PositiveRoot]]:
     """Per tableau, per entry: the certified positive root of each factor.
 
     Also re-derives each factor from its root and compares it with the factor
     actually used by the restriction, so a certificate that returns is a
     proof that every factor has the form e^theta - 1 (K) resp. theta (H).
-    An entry's root and factor depend only on (x, z) for fixed beta, so each
-    distinct (x, z) is checked in full on its first occurrence and reused.
+    An entry's root and factor depend only on (x, z) for fixed beta and
+    theory, so each distinct (x, z) is checked in full on its first
+    occurrence and reused.  ``checked`` maps (x, z) to its certified root;
+    a caller certifying many alphas at one (beta, theory) passes one dict to
+    all of them, and without it every call starts afresh.
     """
     n = _check_ranks(alpha, beta)
     lam, mu = sigma(alpha), sigma(beta)
     tableaux = enumerate_ssvt(lam, mu) if theory == "K" else enumerate_ssyt(lam, mu)
-    checked: dict[tuple[int, int], PositiveRoot] = {}
+    if checked is None:
+        checked = {}
+    bp = None  # beta', computed on the first entry not yet checked
     certificates = []
     for s in tableaux:
         roots = []
-        for e, (a, b) in zip(s.entries(), tableau_cut_pairs(s, beta)):
+        for e in s.entries():
             root = checked.get((e.x, e.z))
             if root is None:
-                root = root_for_entry(e.x, e.z, beta)
+                if bp is None:
+                    bp = beta.complement().values
+                root = _root_at(e.x, e.z, bp, n)
+                # the cut pair (beta'(x), bar(beta'(z))) of entry_cut_pairs
+                a, b = bp[e.x - 1], bar(bp[e.z - 1], n)
                 if theory == "K":
                     expected = root.exp_k(n) - 1
                     actual = coordinate_weight_k(a, b, n) - 1

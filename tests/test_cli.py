@@ -246,11 +246,24 @@ class TestVerifyRankGuard:
             main(["verify", "--n", "5", "--suite", "oracle"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("suite", ["gkm", "chern", "positivity"])
+    @pytest.mark.parametrize("suite", ["chern"])
     def test_n6_exit_2(self, suite):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "6", "--suite", suite])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("suite", ["gkm", "positivity"])
+    def test_n7_exit_2(self, suite):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "7", "--suite", suite])
+        assert exc.value.code == 2
+
+    def test_gkm_corrupt_n4_counts(self, capsys):
+        code, out = run(capsys, "verify", "--n", "4", "--suite", "gkm", "--corrupt",
+                        "--json")
+        assert code == 1
+        (report,) = json.loads(out)["reports"]
+        assert report["checks"] == 2560 and len(report["failures"]) == 320
 
     def test_subword_n7_exit_2(self):
         with pytest.raises(SystemExit) as exc:

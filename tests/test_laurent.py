@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import lgrass
 from lgrass import (LaurentPolynomial, bar_var_h, bar_var_k, divisible_by_k_root,
                     divisible_by_root_h, lowest_degree_form)
-from lgrass.laurent import HALF
+from lgrass.laurent import HALF, root_images
 from lgrass.restriction import positive_roots
 
 from helpers import exp_series_lowest_form
@@ -333,6 +333,19 @@ class TestSubstitution:
     def test_zero_on_negative_exponent_raises(self):
         with pytest.raises(ValueError):
             (var(2) + var(1, power=-1))._substitute(1, 0)
+
+    def test_sign_outside_range_raises(self):
+        with pytest.raises(ValueError):
+            var(1)._substitute(1, 2)
+
+    def test_root_images(self):
+        # the variable eliminated is the root's first in lexicographic term order
+        assert root_images(var(1) - var(2), "K") == ((2, 1, 1, 1),)
+        assert root_images(var(1) + var(3), "K") == ((3, 1, 1, -1),)
+        assert root_images(2 * var(2), "K") == ((2, 1), (2, -1))
+        assert root_images(var(1) - var(2), "H") == ((2, 1, 1),)
+        assert root_images(var(1) + var(3), "H") == ((3, -1, 1),)
+        assert root_images(2 * var(2), "H") == ((2, 0),)
 
 
 class TestPretty:

@@ -3,13 +3,14 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgrass import (ComponentLimitExceeded, IsotropicIndex, LaurentPolynomial,
-                    PositiveRoot, SignedPermutation, billey_restrict_h,
-                    chern_consistency, coset_representative, enumerate_isotropic,
-                    gkm_check, gkm_check_table, gkm_edges, kclass_union_oracle,
-                    length, lowest_degree_form, reduced_word, reflect, restrict_h,
-                    restrict_k, run_verification)
-from lgrass import oracles
+from lgrass import (CertificateError, ComponentLimitExceeded, IsotropicIndex,
+                    LaurentPolynomial, PositiveRoot, SignedPermutation, billey_restrict_h,
+                    chern_consistency, coset_representative, divisible_by_k_root,
+                    divisible_by_root_h, enumerate_isotropic, gkm_check,
+                    gkm_check_table, gkm_edges, kclass_union_oracle, length,
+                    lowest_degree_form, positivity_certificate, reduced_word, reflect,
+                    restrict, restrict_h, restrict_k, run_verification)
+from lgrass import oracles, restriction
 
 from helpers import bfs_weyl_lengths, per_pair_billey
 
@@ -221,6 +222,89 @@ class TestGkmCheck:
         victim = next(iter(table))
         table[victim] = table[victim] + 1
         assert not gkm_check_table(table, n, "H").ok
+
+
+def reference_gkm_failures(table, n, theory):
+    """The failing edges by divisibility of the difference p1 - p2, edge by edge."""
+    divisible = divisible_by_root_h if theory == "H" else divisible_by_k_root
+    return [f"edge {e.beta1}|{e.beta2} root {e.root}" for e in gkm_edges(n)
+            if not divisible(table[e.beta1] - table[e.beta2], e.root.form_h(n))]
+
+
+class TestGkmAgainstDifference:
+    """Comparing root images of p1 and p2 fails exactly the edges whose p1 - p2 fails."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("theory", ["H", "K"])
+    def test_every_row_clean_and_perturbed(self, n, theory):
+        points = enumerate_isotropic(n)
+        # t_1 - 1 passes t_1 -> 1, so only the second image of a K root 2t_1 fails it
+        bumps = (1, LaurentPolynomial.var(n, 1) - 1)
+        for alpha in points:
+            row = {b: restrict(alpha, b, theory).value for b in points}
+            tables = [row] + [{**row, victim: row[victim] + bump}
+                              for bump in bumps for victim in points]
+            for table in tables:
+                report = gkm_check_table(table, n, theory)
+                assert report.edges_checked == len(gkm_edges(n))
+                assert report.failures == reference_gkm_failures(table, n, theory)
+            # a perturbed row always fails somewhere: every vertex has an edge
+            assert all(gkm_check_table(t, n, theory).failures for t in tables[1:])
+
+    def test_h_row_with_negative_exponent_raises(self):
+        n = 2
+        table = {b: restrict_h(IsotropicIndex(2, (2, 4)), b).value
+                 for b in enumerate_isotropic(n)}
+        victim = next(iter(table))
+        table[victim] = table[victim] + LaurentPolynomial.var(n, 1, -1)
+        with pytest.raises(ValueError):
+            gkm_check_table(table, n, "H")
+        assert not gkm_check_table(table, n, "K").ok
+
+
+class TestSharedMemos:
+    """A memo shared by many calls gives what fresh calls give."""
+
+    def test_union_classes_memo(self):
+        points = enumerate_isotropic(3)
+        classes = {}
+        for a in points:
+            for b in points:
+                assert (kclass_union_oracle(a, b, classes=classes)
+                        == kclass_union_oracle(a, b))
+        assert classes
+
+    def test_positivity_checked_memo(self):
+        points = enumerate_isotropic(3)
+        for theory in ("K", "H"):
+            for b in points:
+                checked = {}
+                for a in points:
+                    assert (positivity_certificate(a, b, theory, checked)
+                            == positivity_certificate(a, b, theory))
+
+    @pytest.mark.parametrize("name", ["coordinate_weight_k", "coordinate_weight_h"])
+    def test_positivity_suite_fails_where_fresh_calls_fail(self, monkeypatch, name):
+        # (1, 6) is the cut pair of entry (1, 1) at every beta with beta'(1) = 1;
+        # a memo shared across betas would reuse another beta's root for (1, 1)
+        weight = getattr(restriction, name)
+
+        def perturbed(a, b, n):
+            w = weight(a, b, n)
+            return w + 1 if (a, b) == (1, 6) else w
+
+        monkeypatch.setattr(restriction, name, perturbed)
+        points = enumerate_isotropic(3)
+        expected = []
+        for a in points:
+            for b in points:
+                for theory in ("K", "H"):
+                    try:
+                        positivity_certificate(a, b, theory)
+                    except CertificateError as exc:
+                        expected.append(f"{theory} ({a}; {b}): {exc}")
+        assert expected
+        assert oracles.verify_positivity(3).failures == expected
 
 
 class TestDiagonalRestriction:
