@@ -1,8 +1,8 @@
 """Run the independent verification suites and show a negative control.
 
 Each suite cross-checks the tableau formulas through machinery that shares
-nothing with them: inclusion-exclusion over coordinate-subspace arrangements
-(K), a reduced-word subword formula (cohomology), moment-graph divisibility
+nothing with them: the Stanley-Reisner face sum of the coordinate-subspace
+arrangement (K), a reduced-word subword formula (cohomology), moment-graph divisibility
 along reflection edges (both), and the lowest-order comparison between the
 two theories.
 """

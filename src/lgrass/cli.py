@@ -31,9 +31,11 @@ TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # checks, about 6 s of it the n=6 K and H columns), `--suite positivity`
 # 5-6 s (8 192 certificates) and `--suite subword` about 1.5 s (about 0.6 s
 # of it the n=6 H columns).  chern was not run at n=6 (n=5 takes about 3.5 s
-# on 94 616 monomials, n=6 has 2.58 M), and the oracle raises
-# ComponentLimitExceeded at n=5.  --suite all takes the minimum.
-VERIFY_RANK_LIMITS = {"oracle": 4, "gkm": 6, "chern": 5, "positivity": 6, "subword": 6}
+# on 94 616 monomials, n=6 has 2.58 M).  A cold `verify --n 5 --suite oracle`
+# takes 2.3-2.5 s and 39 MB, `--suite all` at n=5 7.4-7.7 s and 39 MB; the
+# oracle's face-sum DP over all n=6 pairs took 367-384 s in-process, so it
+# stays at n <= 5.  --suite all takes the minimum.
+VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 5, "positivity": 6, "subword": 6}
 
 
 def parse_index(text: str, n: int) -> IsotropicIndex:

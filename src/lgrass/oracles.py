@@ -2,8 +2,9 @@
 
 Three cross-checks that share no code path with the tableau sums:
 
-* an inclusion-exclusion oracle computing the K-class of the union of the
-  tableau-indexed coordinate subspaces directly from cut sets and weights;
+* a union oracle computing the K-class of the union of the tableau-indexed
+  coordinate subspaces as a Stanley-Reisner face sum, by one DP over the
+  coordinates of the cut sets and their weights;
 * a subword (Billey-type) formula for the cohomology restriction, evaluated
   over reduced words in the hyperoctahedral Weyl group;
 * moment-graph divisibility: along every edge of the fixed-point graph the
@@ -204,74 +205,44 @@ def billey_restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> LaurentPol
 
 
 # ---------------------------------------------------------------------------
-# inclusion-exclusion arrangement oracle
+# Stanley-Reisner union oracle
 # ---------------------------------------------------------------------------
 
-class ComponentLimitExceeded(RuntimeError):
-    def __init__(self, count: int, limit: int):
-        super().__init__(f"{count} components exceed the 2^m guard of {limit}")
-        self.count = count
-        self.limit = limit
-
-
 def kclass_union_oracle(alpha: IsotropicIndex, beta: IsotropicIndex,
-                        limit: int = 20, classes: dict | None = None) -> LaurentPolynomial:
+                        limit=None) -> LaurentPolynomial:
     """K-class of the union of the tableau-cut coordinate subspaces.
 
-    Exact inclusion-exclusion over the single-entry tableau components: each
-    union of cut sets contributes the product of (1 - weight) over its
-    coordinates.  Independent of the set-valued sum, but must agree with it.
-    Subtrees where a remaining cut set is already contained in the running
-    union cancel pairwise and are pruned.  ``classes`` maps a cut set to its
-    class at this rank; a caller running many pairs of one rank passes one
-    dict to all of them, and without it every call starts afresh.
+    The union is a Stanley-Reisner scheme: its faces are the coordinate sets
+    that miss some cut set, and its class is the face sum of
+    prod_{c in F} w_c prod_{c not in F} (1 - w_c) (Miller-Sturmfels, Thm
+    1.13).  Coordinates in no cut contribute w + (1 - w) = 1, so one DP runs
+    over the others in sorted order; a state is the bitmask of cut sets not
+    yet hit.  Excluding c multiplies by 1 - w_c, including it multiplies by
+    w_c and clears the cuts that contain c, and a state whose mask reaches 0
+    is not a face.  Independent of the set-valued sum, but must agree with
+    it.  ``limit``, the old component guard that callers may still pass, is
+    ignored: the DP has no guard.
     """
     from .chart import tableau_cut_pairs
 
     if alpha.n != beta.n:
         raise ValueError("rank mismatch")
     n = alpha.n
-    components = [frozenset(tableau_cut_pairs(p, beta))
-                  for p in enumerate_ssyt(sigma(alpha), sigma(beta))]
-    if len(components) > limit:
-        raise ComponentLimitExceeded(len(components), limit)
-    components.sort(key=sorted)
-
-    one = LaurentPolynomial.one(n)
-    if classes is None:
-        classes = {}
-
-    def subspace_class(cut: frozenset) -> LaurentPolynomial:
-        got = classes.get(cut)
-        if got is None:
-            got = one
-            for a, b in sorted(cut):
-                got = got * (one - coordinate_weight_k(a, b, n))
-            classes[cut] = got
-        return got
-
-    memo: dict[tuple[int, frozenset], LaurentPolynomial] = {}
-
-    def signed_sum(idx: int, union: frozenset) -> LaurentPolynomial:
-        # sum over subsets T of components[idx:] of (-1)^{|T|} class(union of cuts)
-        if idx == len(components):
-            return subspace_class(union)
-        key = (idx, union)
-        got = memo.get(key)
-        if got is None:
-            if components[idx] <= union:
-                got = LaurentPolynomial.zero(n)
-            else:
-                got = (signed_sum(idx + 1, union)
-                       - signed_sum(idx + 1, union | components[idx]))
-            memo[key] = got
-        return got
-
-    value = one - signed_sum(0, frozenset())
-    # signed_sum's closure refers to itself, a cycle that only the garbage
-    # collector frees; emptying the memo frees its polynomials now
-    memo.clear()
-    return value
+    cuts = [set(tableau_cut_pairs(p, beta))
+            for p in enumerate_ssyt(sigma(alpha), sigma(beta))]
+    states = {(1 << len(cuts)) - 1: LaurentPolynomial.one(n)} if cuts else {}
+    for c in sorted(set().union(*cuts)):
+        w = coordinate_weight_k(*c, n)
+        hit = sum(1 << i for i, cut in enumerate(cuts) if c in cut)
+        moves: dict[int, LaurentPolynomial] = {}
+        for mask, value in states.items():
+            included = value * w
+            for to, add in ((mask, value - included), (mask & ~hit, included)):
+                if to:
+                    got = moves.get(to)
+                    moves[to] = add if got is None else got + add
+        states = moves
+    return LaurentPolynomial.sum_of(n, states.values())
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +366,9 @@ def verify_oracle(n: int) -> SuiteReport:
     report = SuiteReport("oracle", n)
     points = enumerate_isotropic(n)
     for a in points:
-        # cut set -> class, shared by one row: at n=4 the rows compute 402
-        # classes against 382 for one dict per run, and hold 1/2^n as many
-        classes: dict[frozenset, LaurentPolynomial] = {}
         for b in points:
             report.checks += 1
-            if restrict_k(a, b).value != kclass_union_oracle(a, b, classes=classes):
+            if restrict_k(a, b).value != kclass_union_oracle(a, b):
                 report.failures.append(f"oracle mismatch at ({a}; {b})")
     return report
 

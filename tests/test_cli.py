@@ -222,7 +222,7 @@ class TestVerifyCommand:
 
     def test_guard(self):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "5", "--suite", "all"])
+            main(["verify", "--n", "6", "--suite", "all"])
         assert exc.value.code == 2
 
 
@@ -241,9 +241,9 @@ class TestVerifyRankGuard:
         data = json.loads(out)
         assert data["ok"] and data["reports"][0]["checks"] == 4096
 
-    def test_oracle_n5_exit_2(self):
+    def test_oracle_n6_exit_2(self):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "5", "--suite", "oracle"])
+            main(["verify", "--n", "6", "--suite", "oracle"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("suite", ["chern"])

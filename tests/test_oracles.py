@@ -3,8 +3,8 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgrass import (CertificateError, ComponentLimitExceeded, IsotropicIndex,
-                    LaurentPolynomial, PositiveRoot, SignedPermutation, billey_restrict_h,
+from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, PositiveRoot,
+                    SignedPermutation, billey_restrict_h,
                     chern_consistency, coset_representative, divisible_by_k_root,
                     divisible_by_root_h, enumerate_isotropic, gkm_check,
                     gkm_check_table, gkm_edges, kclass_union_oracle, length,
@@ -12,7 +12,7 @@ from lgrass import (CertificateError, ComponentLimitExceeded, IsotropicIndex,
                     restrict, restrict_h, restrict_k, run_verification)
 from lgrass import oracles, restriction
 
-from helpers import bfs_weyl_lengths, per_pair_billey
+from helpers import bfs_weyl_lengths, inclusion_exclusion_union_class, per_pair_billey
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
@@ -156,10 +156,30 @@ class TestUnionOracle:
             for b in enumerate_isotropic(2):
                 assert kclass_union_oracle(a, b) == restrict_k(a, b).value
 
-    def test_component_guard(self):
-        with pytest.raises(ComponentLimitExceeded) as err:
-            kclass_union_oracle(ALPHA, BETA, limit=2)
-        assert err.value.count == 3
+    def test_limit_is_ignored(self):
+        # three components; the positional limit no longer guards anything
+        assert kclass_union_oracle(ALPHA, BETA, 2) == restrict_k(ALPHA, BETA).value
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_pair_matches_inclusion_exclusion(self, n):
+        points = enumerate_isotropic(n)
+        for a in points:
+            for b in points:
+                assert kclass_union_oracle(a, b) == inclusion_exclusion_union_class(a, b)
+
+    def test_perturbed_restriction_reported_once(self, monkeypatch):
+        points = enumerate_isotropic(4)
+        victim = (points[5], points[11])
+        real = oracles.restrict_k
+
+        def perturbed(a, b):
+            got = real(a, b)
+            return dataclasses.replace(got, value=got.value + 1) if (a, b) == victim else got
+
+        monkeypatch.setattr(oracles, "restrict_k", perturbed)
+        report = oracles.verify_oracle(4)
+        assert report.checks == 256
+        assert report.failures == [f"oracle mismatch at ({victim[0]}; {victim[1]})"]
 
 
 class TestGkmGraph:
@@ -264,15 +284,6 @@ class TestGkmAgainstDifference:
 
 class TestSharedMemos:
     """A memo shared by many calls gives what fresh calls give."""
-
-    def test_union_classes_memo(self):
-        points = enumerate_isotropic(3)
-        classes = {}
-        for a in points:
-            for b in points:
-                assert (kclass_union_oracle(a, b, classes=classes)
-                        == kclass_union_oracle(a, b))
-        assert classes
 
     def test_positivity_checked_memo(self):
         points = enumerate_isotropic(3)
