@@ -25,7 +25,7 @@ print()
 alpha = IsotropicIndex.from_signed(2, (-2, -1))
 clean = gkm_check(alpha, 2, "H")
 broken = gkm_check(alpha, 2, "H", corrupt=True)
-print(f"clean table:     {clean.edges_checked} edges, "
+print(f"clean table:     {clean.checks} edges, "
       f"{len(clean.failures)} failures")
-print(f"corrupted table: {broken.edges_checked} edges, "
+print(f"corrupted table: {broken.checks} edges, "
       f"{len(broken.failures)} failures, e.g. {broken.failures[0]}")

@@ -26,9 +26,9 @@ from .models import (DiagramSubset, PathFamily, SymmetricDiagramSubset,
                      family_to_subset, fold_subset, fold_symmetric,
                      subset_to_family, subset_to_tableau, tableau_to_subset,
                      unfold_symmetric)
-from .oracles import (GkmEdge, GkmReport, SignedPermutation, SuiteReport,
-                      billey_restrict_h, chern_consistency, coset_representative,
-                      gkm_check, gkm_check_table, gkm_edges, kclass_union_oracle,
+from .oracles import (GkmEdge, SignedPermutation, SuiteReport, billey_restrict_h,
+                      chern_consistency, coset_representative, gkm_check,
+                      gkm_check_table, gkm_edges, kclass_union_oracle,
                       reduced_word, reflect, run_verification)
 
 __version__ = "0.1.0"

@@ -52,7 +52,7 @@ def is_strict(lam) -> bool:
 
 def check_strict(lam) -> tuple[int, ...]:
     lam = normalize_partition(lam)
-    if not is_strict(lam):
+    if len(set(lam)) != len(lam):  # weakly decreasing, so strict iff distinct
         raise ValueError(f"partition {lam} is not strict")
     return lam
 
@@ -94,9 +94,6 @@ class IsotropicIndex:
         """The set complement in {1, ..., 2n}, again an element of I_n."""
         rest = set(range(1, 2 * self.n + 1)) - set(self.values)
         return IsotropicIndex(self.n, rest)
-
-    def is_identity(self) -> bool:
-        return self.values == tuple(range(1, self.n + 1))
 
     def __iter__(self):
         return iter(self.values)

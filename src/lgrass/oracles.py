@@ -1,21 +1,25 @@
 """Independent verification of the restriction formulas.
 
-Three cross-checks that share no code path with the tableau sums:
+Five suites, each returning a ``SuiteReport``.  The first three share no code
+path with the tableau sums:
 
-* a union oracle computing the K-class of the union of the tableau-indexed
-  coordinate subspaces as a Stanley-Reisner face sum, by one DP over the
-  coordinates of the cut sets and their weights;
-* a subword (Billey-type) formula for the cohomology restriction, evaluated
-  over reduced words in the hyperoctahedral Weyl group;
-* moment-graph divisibility: along every edge of the fixed-point graph the
-  difference of restrictions must be divisible by the edge root.
-
-Plus the Chern-character consistency between the two theories.
+* oracle: the K-class of the union of the tableau-indexed coordinate
+  subspaces as a Stanley-Reisner face sum, by one DP over the coordinates of
+  the cut sets and their weights;
+* subword: a subword (Billey-type) formula for the cohomology restriction,
+  evaluated over reduced words in the hyperoctahedral Weyl group;
+* gkm: along every edge of the fixed-point moment graph the difference of
+  restrictions must be divisible by the edge root;
+* chern: the lowest-order form of each K restriction equals the cohomology
+  restriction;
+* positivity: every factor of every tableau is e^theta - 1 (K) resp. theta
+  (H) for a positive root theta, by ``positivity_certificate``.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .chart import coordinate_weight_k
@@ -277,18 +281,6 @@ def gkm_edges(n: int) -> tuple[GkmEdge, ...]:
                                                               k[2].kind, k[2].i, k[2].j)))
 
 
-@dataclass
-class GkmReport:
-    theory: str
-    n: int
-    edges_checked: int = 0
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 @functools.lru_cache(maxsize=None)
 def _edge_images(n: int, theory: str) -> tuple[tuple[GkmEdge, tuple[tuple, ...]], ...]:
     """Each edge of ``gkm_edges(n)`` with its root's ``root_images``, built once per (n, theory)."""
@@ -297,19 +289,20 @@ def _edge_images(n: int, theory: str) -> tuple[tuple[GkmEdge, tuple[tuple, ...]]
 
 
 def gkm_check_table(table: dict[IsotropicIndex, LaurentPolynomial], n: int,
-                    theory: str) -> GkmReport:
+                    theory: str) -> SuiteReport:
     """Edge-divisibility check of one row of a restriction table.
 
     The root of an edge divides p1 - p2 iff p1 and p2 have equal images under
     each of its substitutions (each one is a ring homomorphism), so the
     difference is never built, and equal values pass without substituting.
+    The report's ``checks`` counts the edges.
     """
     if theory == "H" and any(p.has_negative_exponent() for p in table.values()):
         raise ValueError("cohomology divisibility needs nonnegative exponents")
-    report = GkmReport(theory, n)
+    report = SuiteReport("gkm", n)
     for edge, images in _edge_images(n, theory):
         p1, p2 = table[edge.beta1], table[edge.beta2]
-        report.edges_checked += 1
+        report.checks += 1
         if p1 != p2 and any(p1._substitute(*args) != p2._substitute(*args)
                             for args in images):
             report.failures.append(
@@ -318,7 +311,7 @@ def gkm_check_table(table: dict[IsotropicIndex, LaurentPolynomial], n: int,
 
 
 def gkm_check(alpha: IsotropicIndex, n: int, theory: str,
-              corrupt: bool = False) -> GkmReport:
+              corrupt: bool = False) -> SuiteReport:
     """GKM divisibility for the full fixed-point row of one class.
 
     ``corrupt`` perturbs one table value by +1 as a negative control; the
@@ -362,15 +355,30 @@ class SuiteReport:
                 "ok": self.ok, "failures": self.failures}
 
 
-def verify_oracle(n: int) -> SuiteReport:
-    report = SuiteReport("oracle", n)
+def _pair_suite(suite: str, n: int, *checks) -> SuiteReport:
+    """Every one of ``checks`` at every (alpha, beta) pair of rank n, in that order.
+
+    A check ``check(a, b)`` returns None when it passes and the failure's
+    message otherwise; each call counts as one check.
+    """
+    report = SuiteReport(suite, n)
     points = enumerate_isotropic(n)
     for a in points:
         for b in points:
-            report.checks += 1
-            if restrict_k(a, b).value != kclass_union_oracle(a, b):
-                report.failures.append(f"oracle mismatch at ({a}; {b})")
+            for check in checks:
+                report.checks += 1
+                failure = check(a, b)
+                if failure is not None:
+                    report.failures.append(failure)
     return report
+
+
+def verify_oracle(n: int) -> SuiteReport:
+    def check(a, b):
+        if restrict_k(a, b).value != kclass_union_oracle(a, b):
+            return f"oracle mismatch at ({a}; {b})"
+
+    return _pair_suite("oracle", n, check)
 
 
 def verify_gkm(n: int, corrupt: bool = False) -> SuiteReport:
@@ -378,47 +386,38 @@ def verify_gkm(n: int, corrupt: bool = False) -> SuiteReport:
     for theory in ("H", "K"):
         for a in enumerate_isotropic(n):
             sub = gkm_check(a, n, theory, corrupt=corrupt)
-            report.checks += sub.edges_checked
+            report.checks += sub.checks
             report.failures.extend(f"{theory} alpha={a}: {msg}" for msg in sub.failures)
     return report
 
 
 def verify_chern(n: int) -> SuiteReport:
-    report = SuiteReport("chern", n)
-    points = enumerate_isotropic(n)
-    for a in points:
-        for b in points:
-            report.checks += 1
-            if not chern_consistency(a, b):
-                report.failures.append(f"chern mismatch at ({a}; {b})")
-    return report
+    def check(a, b):
+        if not chern_consistency(a, b):
+            return f"chern mismatch at ({a}; {b})"
+
+    return _pair_suite("chern", n, check)
 
 
 def verify_positivity(n: int) -> SuiteReport:
-    report = SuiteReport("positivity", n)
-    points = enumerate_isotropic(n)
-    # one (x, z) -> root memo per (beta, theory), for this run
-    checked = {(b, theory): {} for b in points for theory in ("K", "H")}
-    for a in points:
-        for b in points:
-            for theory in ("K", "H"):
-                report.checks += 1
-                try:
-                    positivity_certificate(a, b, theory, checked[b, theory])
-                except Exception as exc:  # CertificateError and anything it masks
-                    report.failures.append(f"{theory} ({a}; {b}): {exc}")
-    return report
+    checked = defaultdict(dict)  # one (x, z) -> root memo per (beta, theory), for this run
+
+    def certify(theory, a, b):
+        try:
+            positivity_certificate(a, b, theory, checked[b, theory])
+        except Exception as exc:  # CertificateError and anything it masks
+            return f"{theory} ({a}; {b}): {exc}"
+
+    return _pair_suite("positivity", n, functools.partial(certify, "K"),
+                       functools.partial(certify, "H"))
 
 
 def verify_subword(n: int) -> SuiteReport:
-    report = SuiteReport("subword", n)
-    points = enumerate_isotropic(n)
-    for a in points:
-        for b in points:
-            report.checks += 1
-            if billey_restrict_h(a, b) != restrict_h(a, b).value:
-                report.failures.append(f"subword mismatch at ({a}; {b})")
-    return report
+    def check(a, b):
+        if billey_restrict_h(a, b) != restrict_h(a, b).value:
+            return f"subword mismatch at ({a}; {b})"
+
+    return _pair_suite("subword", n, check)
 
 
 SUITES = {
@@ -430,8 +429,7 @@ SUITES = {
 }
 
 
-def run_verification(n: int, suites=("oracle", "gkm", "chern", "positivity", "subword"),
-                     corrupt: bool = False) -> list[SuiteReport]:
+def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> list[SuiteReport]:
     """Run the named suites; ``corrupt`` turns the GKM run into a negative control."""
     if corrupt and "gkm" not in suites:
         raise ValueError(f"corrupt perturbs the gkm suite only, not run in {list(suites)}")

@@ -255,30 +255,24 @@ def _summed(n: int, states: list[tuple[LaurentPolynomial, int]]
             sum(c for _, c in states))
 
 
-def _column_entry(alpha: IsotropicIndex, beta: IsotropicIndex,
-                  theory: str) -> tuple[LaurentPolynomial, int]:
-    """The signed value and tableau count at alpha, read from beta's column."""
-    n = _check_ranks(alpha, beta)
-    entry = _restriction_column(beta, theory).get(sigma(alpha))
-    return entry if entry is not None else (LaurentPolynomial.zero(n), 0)
-
-
-@functools.lru_cache(maxsize=None)
-def restrict_k(alpha: IsotropicIndex, beta: IsotropicIndex) -> RestrictionResult:
-    """Restriction of the K-theory Schubert class of alpha at the fixed point beta."""
-    return RestrictionResult(alpha, beta, "K", *_column_entry(alpha, beta, "K"))
-
-
-@functools.lru_cache(maxsize=None)
-def restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> RestrictionResult:
-    """Restriction of the cohomology Schubert class of alpha at beta."""
-    return RestrictionResult(alpha, beta, "H", *_column_entry(alpha, beta, "H"))
-
-
 def restrict(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str) -> RestrictionResult:
+    """Restriction of the Schubert class of alpha at beta, read from beta's column."""
     if theory not in ("K", "H"):
         raise ValueError(f"theory must be 'K' or 'H', got {theory!r}")
-    return restrict_k(alpha, beta) if theory == "K" else restrict_h(alpha, beta)
+    n = _check_ranks(alpha, beta)
+    entry = _restriction_column(beta, theory).get(sigma(alpha))
+    value, count = entry if entry is not None else (LaurentPolynomial.zero(n), 0)
+    return RestrictionResult(alpha, beta, theory, value, count)
+
+
+def restrict_k(alpha: IsotropicIndex, beta: IsotropicIndex) -> RestrictionResult:
+    """Restriction of the K-theory Schubert class of alpha at the fixed point beta."""
+    return restrict(alpha, beta, "K")
+
+
+def restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> RestrictionResult:
+    """Restriction of the cohomology Schubert class of alpha at beta."""
+    return restrict(alpha, beta, "H")
 
 
 def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str,

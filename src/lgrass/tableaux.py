@@ -170,8 +170,7 @@ def _nonempty_subsets(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 @functools.lru_cache(maxsize=None)
 def _enumerate(lam, mu, set_valued: bool) -> tuple[SetValuedShiftedTableau, ...]:
-    lam = check_strict(lam)
-    mu = check_strict(mu)
+    """The tableaux of ``enumerate_ssvt`` resp. ``enumerate_ssyt``; lam and mu come checked."""
     h = len(mu)
     boxes = [(r, c) for r, part in enumerate(lam, start=1)
              for c in range(r, r + part)]

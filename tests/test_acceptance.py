@@ -22,8 +22,6 @@ BETA = IsotropicIndex(3, (3, 5, 6))
 
 
 def _cold_caches():
-    lgrass.restriction.restrict_k.cache_clear()
-    lgrass.restriction.restrict_h.cache_clear()
     lgrass.restriction._restriction_column.cache_clear()
     lgrass.tableaux._enumerate.cache_clear()
 

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from lgrass.cli import main, parse_index, parse_partition
-from lgrass import IsotropicIndex
+from lgrass.cli import VERIFY_RANK_LIMITS, main, parse_index, parse_partition
+from lgrass import IsotropicIndex, oracles
 
 
 def run(capsys, *argv):
@@ -224,6 +224,22 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "6", "--suite", "all"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,exit_code,digest", [
+        (("--suite", "all"), 0,
+         "390c240d62b3b5fb77ad5ecb3e6d5556891f388509fc12d01f147b56359e848a"),
+        (("--suite", "gkm", "--corrupt"), 1,
+         "16f8df350c47c5bda508f530f207671b1ace9d154d53935057d8b7e0b584cccb"),
+    ])
+    def test_pinned_bytes_n3(self, capsys, argv, exit_code, digest):
+        # pins every check count, failure message and their order
+        code, text = run(capsys, "verify", "--n", "3", *argv, "--json")
+        assert code == exit_code
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_suite_order_is_one_list(self):
+        assert list(VERIFY_RANK_LIMITS) == list(oracles.SUITES)
+        assert [r.suite for r in oracles.run_verification(1)] == list(oracles.SUITES)
 
 
 class TestVerifyRankGuard:

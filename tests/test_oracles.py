@@ -227,7 +227,7 @@ class TestGkmCheck:
         for alpha in enumerate_isotropic(2):
             report = gkm_check(alpha, 2, theory)
             assert report.ok
-            assert report.edges_checked == 6
+            assert report.checks == 6
 
     @pytest.mark.parametrize("theory", ["H", "K"])
     def test_corrupted_table_detected(self, theory):
@@ -266,7 +266,7 @@ class TestGkmAgainstDifference:
                               for bump in bumps for victim in points]
             for table in tables:
                 report = gkm_check_table(table, n, theory)
-                assert report.edges_checked == len(gkm_edges(n))
+                assert report.checks == len(gkm_edges(n))
                 assert report.failures == reference_gkm_failures(table, n, theory)
             # a perturbed row always fails somewhere: every vertex has an edge
             assert all(gkm_check_table(t, n, theory).failures for t in tables[1:])
@@ -350,6 +350,20 @@ class TestChern:
         for a in enumerate_isotropic(4):
             for b in enumerate_isotropic(4):
                 assert chern_consistency(a, b)
+
+    def test_perturbed_restriction_reported_once(self, monkeypatch):
+        points = enumerate_isotropic(3)
+        victim = (points[3], points[6])
+        real = oracles.restrict_h
+
+        def perturbed(a, b):
+            got = real(a, b)
+            return dataclasses.replace(got, value=got.value + 1) if (a, b) == victim else got
+
+        monkeypatch.setattr(oracles, "restrict_h", perturbed)
+        report = oracles.verify_chern(3)
+        assert report.checks == 64
+        assert report.failures == [f"chern mismatch at ({victim[0]}; {victim[1]})"]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.sampled_from(enumerate_isotropic(5)),

@@ -238,8 +238,6 @@ class TestRestrictionColumn:
 
     @pytest.mark.parametrize("theory", ["K", "H"])
     def test_results_hold_column_objects(self, theory):
-        restrict_k.cache_clear()
-        restrict_h.cache_clear()
         beta = IsotropicIndex(3, (4, 5, 6))  # sigma(beta) = (3, 2, 1) holds every shape
         points = enumerate_isotropic(3)
         assert {length(a) % 2 for a in points} == {0, 1}
