@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .indexing import IsotropicIndex, bar, sigma
 from .laurent import LaurentPolynomial, bar_var_h
-from .tableaux import SetValuedShiftedTableau
+from .tableaux import SetValuedShiftedTableau, ShiftedDiagram
 
 
 class ChartIndexSet:
@@ -26,9 +26,6 @@ class ChartIndexSet:
         self.beta = beta
         self.pairs = tuple((a, b) for a in bp for b in beta.values
                            if a <= bar(b, n))
-
-    def __contains__(self, pair) -> bool:
-        return tuple(pair) in set(self.pairs)
 
     def __iter__(self):
         return iter(self.pairs)
@@ -116,13 +113,15 @@ class SubspaceSpec:
 def entry_cut_pairs(entries, beta: IsotropicIndex) -> list[tuple[int, int]]:
     """Coordinate pairs (beta'(x), bar(beta'(z))) of entries given as (x, z).
 
-    Raises if an entry falls outside the shifted diagram of sigma(beta).
+    Raises ValueError if some (x, z) lies outside the shifted diagram of
+    sigma(beta).
     """
     n = beta.n
+    diagram = ShiftedDiagram(sigma(beta))
     bp = beta.complement().values
     pairs = []
     for x, z in entries:
-        if x > n or z > n:
+        if (x, z) not in diagram:
             raise ValueError(f"entry x={x}, z={z} not on sigma(beta) for beta={beta}")
         pairs.append((bp[x - 1], bar(bp[z - 1], n)))
     return pairs
@@ -131,16 +130,12 @@ def entry_cut_pairs(entries, beta: IsotropicIndex) -> list[tuple[int, int]]:
 def tableau_cut_pairs(s: SetValuedShiftedTableau, beta: IsotropicIndex) -> list[tuple[int, int]]:
     """Coordinate pairs (beta'(x), bar(beta'(z(x)))) over the entries of s.
 
-    Raises if an entry falls outside the shifted diagram of sigma(beta), which
-    means s is not on that shape.
+    Raises ValueError if some image box (x, z(x)) lies outside the shifted
+    diagram of sigma(beta), that is, if s is not on that shape.
     """
     return entry_cut_pairs(((e.x, e.z) for e in s.entries()), beta)
 
 
 def subspace_of_tableau(s: SetValuedShiftedTableau, beta: IsotropicIndex) -> SubspaceSpec:
     """The coordinate subspace cut out by the entries of a tableau on sigma(beta)."""
-    mu = sigma(beta)
-    for e in s.entries():
-        if e.x > len(mu) or e.z > mu[e.x - 1] + e.x - 1:
-            raise ValueError(f"tableau is not on {mu}: entry {e}")
     return SubspaceSpec(chart_index_set(beta), tableau_cut_pairs(s, beta))

@@ -28,13 +28,6 @@ class DiagramSubset:
                 raise ValueError(f"box {box} outside the diagram of {self.mu}")
         self.members = members
 
-    @property
-    def ambient(self) -> ShiftedDiagram:
-        return ShiftedDiagram(self.mu)
-
-    def __contains__(self, box) -> bool:
-        return tuple(box) in set(self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -123,12 +116,10 @@ def subset_to_tableau(d: DiagramSubset, lam) -> SetValuedShiftedTableau:
             raise ValueError(
                 f"diagonal {delta} carries {len(values)} boxes, shape needs {len(rows)}")
         for r, v in zip(rows, values):
-            grid[(r, r + delta)] = v
+            grid[(r, r + delta)] = (v,)
     if by_diagonal:
         raise ValueError(f"boxes on unexpected diagonals: {sorted(by_diagonal)}")
-    rows = [tuple((grid[(r, c)],) for c in range(r, r + part))
-            for r, part in enumerate(lam, start=1)]
-    p = SetValuedShiftedTableau(rows)
+    p = SetValuedShiftedTableau.of_boxes(lam, grid)
     if not is_semistandard(p) or not is_on(p, d.mu) or tableau_to_subset(p, d.mu) != d:
         raise ValueError(f"{d} is not in the image of the tableau model")
     return p
@@ -245,9 +236,8 @@ def unfold_symmetric(p: SetValuedShiftedTableau) -> SymmetricTableau:
 def fold_symmetric(q: SymmetricTableau) -> SetValuedShiftedTableau:
     """Delete everything below the main diagonal, recovering a shifted tableau."""
     lam = rho(q.shape)
-    rows = [tuple((q[(r, c)],) for c in range(r, r + part))
-            for r, part in enumerate(lam, start=1)]
-    return SetValuedShiftedTableau(rows)
+    return SetValuedShiftedTableau.of_boxes(
+        lam, {box: (q[box],) for box in ShiftedDiagram(lam).boxes()})
 
 
 class SymmetricDiagramSubset:

@@ -29,38 +29,34 @@ def _cell_rows(row_spans: list[tuple[int, int]], text) -> str:
     return "\n".join(lines)
 
 
+def _shifted_rows(mu, text, empty: str) -> str:
+    """Cells of the shifted diagram of mu, row r starting at column r."""
+    if not mu:
+        return empty
+    return _cell_rows([(r, r + part - 1) for r, part in enumerate(mu, start=1)], text)
+
+
 def ascii_shifted_tableau(s: SetValuedShiftedTableau) -> str:
-    if not s.shape:
-        return "(empty tableau)"
-    spans = [(r, r + part - 1) for r, part in enumerate(s.shape, start=1)]
-    return _cell_rows(spans, lambda r, c: ",".join(map(str, s.box(r, c))))
+    return _shifted_rows(s.shape, lambda r, c: ",".join(map(str, s.box(r, c))),
+                         "(empty tableau)")
 
 
 def ascii_shifted_diagram(mu) -> str:
-    mu = check_strict(mu)
-    if not mu:
-        return "(empty diagram)"
-    spans = [(r, r + part - 1) for r, part in enumerate(mu, start=1)]
-    return _cell_rows(spans, lambda r, c: " ")
+    return _shifted_rows(check_strict(mu), lambda r, c: " ", "(empty diagram)")
 
 
 def ascii_subset(d: DiagramSubset) -> str:
-    if not d.mu:
-        return "(empty diagram)"
-    spans = [(r, r + part - 1) for r, part in enumerate(d.mu, start=1)]
     members = set(d.members)
-    return _cell_rows(spans, lambda r, c: "##" if (r, c) in members else "  ")
+    return _shifted_rows(d.mu, lambda r, c: "##" if (r, c) in members else "  ",
+                         "(empty diagram)")
 
 
 def ascii_family(f: PathFamily) -> str:
-    if not f.mu:
-        return "(empty diagram)"
-    spans = [(r, r + part - 1) for r, part in enumerate(f.mu, start=1)]
     label = {}
     for idx, path in enumerate(f.paths, start=1):
         for box in path:
             label[box] = str(idx)
-    return _cell_rows(spans, lambda r, c: label.get((r, c), " "))
+    return _shifted_rows(f.mu, lambda r, c: label.get((r, c), " "), "(empty diagram)")
 
 
 def ascii_young_diagram(eta, shaded=None) -> str:
@@ -121,57 +117,50 @@ def _svg_header(width: int, height: int) -> list[str]:
             f'height="{height}" viewBox="0 0 {width} {height}">']
 
 
-def _svg_boxes(boxes, fill) -> list[str]:
+def _svg_boxes(boxes, fill, dx: int = 0) -> list[str]:
     out = []
     for r, c in boxes:
-        x, y = (c - 1) * _UNIT, (r - 1) * _UNIT
+        x, y = dx + (c - 1) * _UNIT, (r - 1) * _UNIT
         out.append(f'<rect x="{x}" y="{y}" width="{_UNIT}" height="{_UNIT}" '
                    f'fill="{fill((r, c))}" stroke="black"/>')
     return out
 
 
-def _svg_size(mu) -> tuple[int, int]:
-    cols = (mu[0] if mu else 0)
-    return cols * _UNIT + 1, len(mu) * _UNIT + 1
+def _svg_shifted(mu, fill, overlay: list[str]) -> str:
+    """An SVG of the shifted diagram of mu, boxes filled by fill, overlay on top."""
+    width, height = (mu[0] if mu else 0) * _UNIT + 1, len(mu) * _UNIT + 1
+    parts = _svg_header(width, height)
+    parts += _svg_boxes(ShiftedDiagram(mu).boxes(), fill)
+    parts += overlay
+    parts.append("</svg>")
+    return "\n".join(parts)
 
 
 def svg_tableau(s: SetValuedShiftedTableau) -> str:
-    mu = s.shape
-    width, height = _svg_size(mu)
-    parts = _svg_header(width, height)
-    parts += _svg_boxes(ShiftedDiagram(mu).boxes() if mu else [], lambda b: "white")
+    labels = []
     for r, c, box in s.cells():
         x = (c - 1) * _UNIT + _UNIT // 2
         y = (r - 1) * _UNIT + _UNIT // 2 + 5
         text = ",".join(map(str, box))
-        parts.append(f'<text x="{x}" y="{y}" font-size="14" '
-                     f'text-anchor="middle">{text}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+        labels.append(f'<text x="{x}" y="{y}" font-size="14" '
+                      f'text-anchor="middle">{text}</text>')
+    return _svg_shifted(s.shape, lambda b: "white", labels)
 
 
 def svg_subset(d: DiagramSubset) -> str:
-    width, height = _svg_size(d.mu)
     members = set(d.members)
-    parts = _svg_header(width, height)
-    parts += _svg_boxes(ShiftedDiagram(d.mu).boxes() if d.mu else [],
-                        lambda b: "#bbbbbb" if b in members else "white")
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _svg_shifted(d.mu, lambda b: "#bbbbbb" if b in members else "white", [])
 
 
 def svg_family(f: PathFamily) -> str:
-    width, height = _svg_size(f.mu)
-    parts = _svg_header(width, height)
-    parts += _svg_boxes(ShiftedDiagram(f.mu).boxes() if f.mu else [], lambda b: "white")
+    lines = []
     for path in f.paths:
         points = " ".join(
             f"{(c - 1) * _UNIT + _UNIT // 2},{(r - 1) * _UNIT + _UNIT // 2}"
             for r, c in path)
-        parts.append(f'<polyline points="{points}" fill="none" stroke="black" '
-                     f'stroke-width="6" stroke-linecap="round"/>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+        lines.append(f'<polyline points="{points}" fill="none" stroke="black" '
+                      f'stroke-width="6" stroke-linecap="round"/>')
+    return _svg_shifted(f.mu, lambda b: "white", lines)
 
 
 def svg_rho_figure(eta) -> str:
@@ -185,11 +174,7 @@ def svg_rho_figure(eta) -> str:
     parts = _svg_header(width, height)
     young = [(r, c) for r, part in enumerate(eta, start=1) for c in range(1, part + 1)]
     parts += _svg_boxes(young, lambda b: "white" if b[1] >= b[0] else "#dddddd")
-    offset = cols * _UNIT + gap
-    for r, part in enumerate(mu, start=1):
-        for c in range(r, r + part):
-            x, y = offset + (c - 1) * _UNIT, (r - 1) * _UNIT
-            parts.append(f'<rect x="{x}" y="{y}" width="{_UNIT}" height="{_UNIT}" '
-                         f'fill="white" stroke="black"/>')
+    parts += _svg_boxes(ShiftedDiagram(mu).boxes(), lambda b: "white",
+                        dx=cols * _UNIT + gap)
     parts.append("</svg>")
     return "\n".join(parts)

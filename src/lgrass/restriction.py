@@ -44,7 +44,8 @@ from typing import Iterator
 # bench/tracer.py patches them by name
 from .chart import (coordinate_weight_h, coordinate_weight_k, entry_cut_pairs,  # noqa: F401
                     tableau_cut_pairs)
-from .indexing import IsotropicIndex, bar, enumerate_isotropic, length, sigma  # noqa: F401
+from .indexing import (IsotropicIndex, bar, enumerate_isotropic, length,  # noqa: F401
+                       sigma, transpose)
 from .laurent import LaurentPolynomial
 from .tableaux import enumerate_ssvt, enumerate_ssyt
 
@@ -161,7 +162,7 @@ def _check_ranks(alpha: IsotropicIndex, beta: IsotropicIndex) -> int:
     return alpha.n
 
 
-def _rows_below(prev: tuple[int, ...], caps: list[int]
+def _rows_below(prev: tuple[int, ...], caps: tuple[int, ...]
                 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every row of box maxima that fits below the row prev, with its lower bounds.
 
@@ -203,7 +204,7 @@ def _restriction_column(beta: IsotropicIndex, theory: str
     mu = sigma(beta)
     set_valued = theory == "K"
     # entry x fits at offset d = c - r iff d < mu_x, i.e. x <= caps[d]
-    caps = [sum(1 for p in mu if p > d) for d in range(mu[0] if mu else 0)]
+    caps = transpose(mu)
     one = LaurentPolynomial.one(n)
     products: dict[tuple[tuple[int, int], ...], LaurentPolynomial] = {(): one}
 

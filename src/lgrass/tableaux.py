@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator, NamedTuple
 
-from .indexing import check_strict
+from .indexing import check_strict, transpose
 
 
 class ShiftedDiagram:
@@ -92,9 +92,11 @@ class SetValuedShiftedTableau:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(row) for row in self.rows)
 
-    @property
-    def diagram(self) -> ShiftedDiagram:
-        return ShiftedDiagram(self.shape)
+    @classmethod
+    def of_boxes(cls, shape, entries) -> SetValuedShiftedTableau:
+        """The tableau of shape ``shape`` holding ``entries[(r, c)]`` in box (r, c)."""
+        return cls([entries[(r, c)] for c in range(r, r + part)]
+                   for r, part in enumerate(shape, start=1))
 
     def box(self, r: int, c: int) -> tuple[int, ...]:
         return self.rows[r - 1][c - r]
@@ -150,13 +152,9 @@ def is_semistandard(s: SetValuedShiftedTableau) -> bool:
 
 
 def is_on(s: SetValuedShiftedTableau, mu) -> bool:
-    """Entry bound x <= len(mu) and z(x) <= mu_x + x - 1 for every entry."""
-    mu = check_strict(mu)
-    h = len(mu)
-    for e in s.entries():
-        if e.x > h or e.z > mu[e.x - 1] + e.x - 1:
-            return False
-    return True
+    """Every entry's image box (x, z(x)) lies in the shifted diagram of mu."""
+    diagram = ShiftedDiagram(mu)
+    return all((e.x, e.z) in diagram for e in s.entries())
 
 
 def _nonempty_subsets(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -168,26 +166,23 @@ def _nonempty_subsets(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield head + tail
 
 
+# --suite all reuses the union oracle's single-entry tableaux in positivity H
 @functools.lru_cache(maxsize=None)
 def _enumerate(lam, mu, set_valued: bool) -> tuple[SetValuedShiftedTableau, ...]:
     """The tableaux of ``enumerate_ssvt`` resp. ``enumerate_ssyt``; lam and mu come checked."""
-    h = len(mu)
-    boxes = [(r, c) for r, part in enumerate(lam, start=1)
-             for c in range(r, r + part)]
-    # entry x fits in relative column j = c - r + 1 iff j <= mu_x; mu strict
-    # makes the admissible x a prefix 1..caps[j]
-    caps = {j: sum(1 for p in mu if p >= j)
-            for j in {c - r + 1 for r, c in boxes}}
+    # entry x fits at offset d = c - r iff d < mu_x; mu strict makes the
+    # admissible x a prefix 1..caps[d]
+    caps = transpose(mu)
+    if lam and lam[0] > len(caps):
+        return ()  # the last box of row 1 admits no entry
+    boxes = list(ShiftedDiagram(lam).boxes())
 
     results: list[SetValuedShiftedTableau] = []
     filled: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def rec(idx: int) -> None:
         if idx == len(boxes):
-            rows = []
-            for r, part in enumerate(lam, start=1):
-                rows.append(tuple(filled[(r, c)] for c in range(r, r + part)))
-            results.append(SetValuedShiftedTableau(rows))
+            results.append(SetValuedShiftedTableau.of_boxes(lam, filled))
             return
         r, c = boxes[idx]
         lo = 1
@@ -197,8 +192,7 @@ def _enumerate(lam, mu, set_valued: bool) -> tuple[SetValuedShiftedTableau, ...]
         above = filled.get((r - 1, c))
         if above is not None:
             lo = max(lo, above[-1] + 1)
-        hi = min(h, caps[c - r + 1])
-        vals = tuple(range(lo, hi + 1))
+        vals = tuple(range(lo, caps[c - r] + 1))
         if not vals:
             return
         if set_valued:

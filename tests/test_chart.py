@@ -129,3 +129,11 @@ class TestSubspaces:
         assert entry_cut_pairs([(1, 1), (1, 2), (2, 3)], BETA3) == tableau_cut_pairs(s, BETA3)
         with pytest.raises(ValueError):
             entry_cut_pairs([(1, 4)], BETA3)
+        # inside the n x n square but off sigma(beta) = () resp. (1,)
+        empty, single = IsotropicIndex(3, (1, 2, 3)), IsotropicIndex(3, (1, 2, 4))
+        with pytest.raises(ValueError):
+            entry_cut_pairs([(1, 1)], empty)
+        with pytest.raises(ValueError):
+            entry_cut_pairs([(1, 2)], single)
+        with pytest.raises(ValueError):
+            tableau_cut_pairs(SetValuedShiftedTableau((((1,),),)), empty)

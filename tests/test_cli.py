@@ -139,6 +139,17 @@ class TestModelsCommand:
         assert data["subsets"][0] == [{"row": 1, "col": 1}, {"row": 1, "col": 2}]
         assert len(data["families"]) == 3
 
+    @pytest.mark.parametrize("argv,digest", [
+        (("--lam", "3,1", "--mu", "5,3,2,1", "--json"),
+         "00ddac6a6edb83e82db39318ac28218dae6782f6851227604dc4ec0c3c969abd"),
+        (("--lam", "2,1", "--mu", "4,2,1", "--list"),
+         "6e7459e535df13a9da251909464c11b93714b499a1f0ff7008ac1a749d724e89"),
+    ])
+    def test_pinned_bytes(self, capsys, argv, digest):
+        code, text = run(capsys, "models", *argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestRenderCommand:
     def test_ascii_tableaux(self, capsys):
@@ -170,6 +181,22 @@ class TestRenderCommand:
                       "--output", str(target))
         assert code == 0
         assert target.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("--lam", "3,1", "--mu", "5,3,2,1"),
+         "c04c1ed86250b42d3f1cf563352008b88ebffa537520c601333ce1e06abfeb66"),
+        (("--lam", "3,1", "--mu", "5,3,2,1", "--format", "svg"),
+         "cfc6d0e0b2595791c2de63c7a878f01b5d86bc3fae55b80b40fc0230ae323726"),
+        (("--rho", "5,3,2,1,1", "--format", "svg"),
+         "02533e9497061624ee4308c53426acf50e2f1fb45cf1468dd66ecc04d2813e79"),
+        (("--lam", "", "--mu", "2,1", "--format", "svg"),
+         "6028905ba22025bc4de058234e3e103c2c8854f87ae369727448c8e894f859a4"),
+    ])
+    def test_pinned_bytes(self, capsys, argv, digest):
+        # pins every ASCII and SVG layout byte, staircase offsets included
+        code, text = run(capsys, "render", *argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestChartCommand:
