@@ -5,7 +5,7 @@ space of 2n x n matrices: identity rows at the positions of beta, and an
 antidiagonally-symmetric block of coordinates on the complementary rows.
 """
 
-from lgrass import (IsotropicIndex, chart_index_set, coordinate_weight_h,
+from lgrass import (ChartIndexSet, IsotropicIndex, coordinate_weight_h,
                     coordinate_weight_k, enumerate_ssyt, sigma,
                     subspace_of_tableau)
 from lgrass.render import ascii_chart_matrix
@@ -13,7 +13,7 @@ from lgrass.render import ascii_chart_matrix
 beta = IsotropicIndex.from_signed(4, (1, 4, -3, -2))
 print("rank 4, beta =", beta, " beta' =", beta.complement().values)
 
-pairs = chart_index_set(beta)
+pairs = ChartIndexSet(beta)
 print(f"|R_beta| = {len(pairs)} coordinate pairs:")
 print("  ", " ".join(f"({a},{b})" for a, b in pairs))
 print()
@@ -24,7 +24,7 @@ print()
 # Torus weights of the coordinates, for a rank-3 point.
 beta3 = IsotropicIndex.from_signed(3, (3, -2, -1))
 print("weights at", beta3, ":")
-for a, b in chart_index_set(beta3):
+for a, b in ChartIndexSet(beta3):
     wk = coordinate_weight_k(a, b, 3)
     wh = coordinate_weight_h(a, b, 3)
     print(f"  y[{a},{b}]  K-weight {wk.pretty():>12}   H-weight {wh.pretty()}")

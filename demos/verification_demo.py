@@ -1,10 +1,11 @@
 """Run the independent verification suites and show a negative control.
 
-Each suite cross-checks the tableau formulas through machinery that shares
-nothing with them: the Stanley-Reisner face sum of the coordinate-subspace
-arrangement (K), a reduced-word subword formula (cohomology), moment-graph divisibility
-along reflection edges (both), and the lowest-order comparison between the
-two theories.
+Each suite cross-checks the tableau formulas by other means: the
+Stanley-Reisner face sum of the coordinate-subspace arrangement (K), a
+reduced-word subword formula (cohomology), moment-graph divisibility along
+reflection edges (both), and the lowest-order comparison between the two
+theories.  The face sum reads the same chart coordinates and weights that the
+formulas multiply; the subword and moment-graph checks share no code with them.
 """
 
 from lgrass import gkm_check, gkm_edges, IsotropicIndex, run_verification

@@ -37,10 +37,6 @@ class ChartIndexSet:
         return f"ChartIndexSet(beta={self.beta}, pairs={self.pairs})"
 
 
-def chart_index_set(beta: IsotropicIndex) -> ChartIndexSet:
-    return ChartIndexSet(beta)
-
-
 def coordinate_weight_k(a: int, b: int, n: int) -> LaurentPolynomial:
     """Torus character t_b / t_a of the coordinate y_ab, bar labels resolved."""
     exps = [0] * n
@@ -67,7 +63,7 @@ def chart_matrix_pattern(beta: IsotropicIndex) -> list[list[tuple]]:
     """
     n = beta.n
     in_beta = set(beta.values)
-    index_set = set(chart_index_set(beta).pairs)
+    index_set = set(ChartIndexSet(beta).pairs)
     rows = []
     for r in range(1, 2 * n + 1):
         row = []
@@ -138,4 +134,4 @@ def tableau_cut_pairs(s: SetValuedShiftedTableau, beta: IsotropicIndex) -> list[
 
 def subspace_of_tableau(s: SetValuedShiftedTableau, beta: IsotropicIndex) -> SubspaceSpec:
     """The coordinate subspace cut out by the entries of a tableau on sigma(beta)."""
-    return SubspaceSpec(chart_index_set(beta), tableau_cut_pairs(s, beta))
+    return SubspaceSpec(ChartIndexSet(beta), tableau_cut_pairs(s, beta))

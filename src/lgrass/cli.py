@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import render
-from .chart import chart_index_set, coordinate_weight_h, coordinate_weight_k
+from .chart import ChartIndexSet, coordinate_weight_h, coordinate_weight_k
 from .indexing import IsotropicIndex, check_strict, enumerate_isotropic
 from .models import MODEL_NAMES, enumerate_model
 from .oracles import run_verification
@@ -152,6 +152,9 @@ def _cmd_render(args) -> int:
         for name in names:
             items = enumerate_model(lam, mu, name)
             if args.index is not None:
+                if not 0 <= args.index < len(items):
+                    raise ValueError(f"--index {args.index} outside 0 <= index < "
+                                     f"{len(items)}, the number of {name}")
                 items = [items[args.index]]
             for i, item in enumerate(items):
                 if args.format == "svg":
@@ -170,7 +173,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_chart(args) -> int:
     beta = parse_index(args.beta, args.n)
-    index_set = chart_index_set(beta)
+    index_set = ChartIndexSet(beta)
     if args.weights_json:
         n = beta.n
         payload = {
@@ -297,7 +300,7 @@ def main(argv=None) -> int:
         parser.error("render needs --lam and --mu, or --rho")
     try:
         return args.func(args)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -95,12 +95,6 @@ class IsotropicIndex:
         rest = set(range(1, 2 * self.n + 1)) - set(self.values)
         return IsotropicIndex(self.n, rest)
 
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return self.n
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, IsotropicIndex)
                 and self.n == other.n and self.values == other.values)
@@ -146,11 +140,9 @@ def rho(lam) -> tuple[int, ...]:
     out = []
     for i, p in enumerate(lam):
         q = p - i
-        if q < 0:
+        if q <= 0:  # q falls as i grows, so no positive part follows
             break
         out.append(q)
-    while out and out[-1] == 0:
-        out.pop()
     return tuple(out)
 
 

@@ -74,7 +74,7 @@ def _nonzero(terms: dict[int, int]) -> dict[int, int]:
 class LaurentPolynomial:
     """Sparse map from exponent vectors in Z^n to nonzero integer coefficients."""
 
-    __slots__ = ("n", "_terms", "_bound", "_hash")
+    __slots__ = ("n", "_terms", "_bound")
 
     def __init__(self, n: int, terms=None) -> None:
         if n < 0:
@@ -89,7 +89,6 @@ class LaurentPolynomial:
         self.n = n
         self._terms = _nonzero(acc)
         self._bound = bound
-        self._hash = None
 
     @classmethod
     def _of(cls, n: int, terms: dict[int, int], bound: int) -> "LaurentPolynomial":
@@ -98,7 +97,6 @@ class LaurentPolynomial:
         out.n = n
         out._terms = terms
         out._bound = bound
-        out._hash = None
         return out
 
     # -- constructors -------------------------------------------------
@@ -258,9 +256,7 @@ class LaurentPolynomial:
                 and self.n == other.n and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self.n, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)

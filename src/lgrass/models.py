@@ -183,7 +183,10 @@ class SymmetricTableau:
         self.shape = normalize_partition(shape)
         if not is_symmetric(self.shape):
             raise ValueError(f"shape {self.shape} is not symmetric")
-        self.grid = tuple(tuple(int(v) for v in row) for row in grid)
+        rows = [tuple(int(v) for v in row) for row in grid]
+        while rows and not rows[-1]:  # as normalize_partition drops zero parts
+            rows.pop()
+        self.grid = tuple(rows)
         if tuple(len(row) for row in self.grid) != self.shape:
             raise ValueError("grid does not match shape")
         for i, row in enumerate(self.grid, start=1):
@@ -219,7 +222,7 @@ def unfold_symmetric(p: SetValuedShiftedTableau) -> SymmetricTableau:
     """
     if not p.is_young:
         raise ValueError("symmetric doubling needs single-entry tableaux")
-    zeta = symmetric_double(p.shape) if p.shape else ()
+    zeta = symmetric_double(p.shape)
     above = {(r, c): box[0] for r, c, box in p.cells()}
     grid = []
     for i in range(1, len(zeta) + 1):
@@ -249,11 +252,12 @@ class SymmetricDiagramSubset:
         self.eta = normalize_partition(eta)
         if not is_symmetric(self.eta):
             raise ValueError(f"shape {self.eta} is not symmetric")
-        members = tuple(sorted(set(map(tuple, members))))
+        boxes = set(map(tuple, members))
+        members = tuple(sorted(boxes))
         for i, j in members:
             if not (1 <= i <= len(self.eta) and 1 <= j <= self.eta[i - 1]):
                 raise ValueError(f"box {(i, j)} outside the diagram of {self.eta}")
-            if (j, i) not in set(members):
+            if (j, i) not in boxes:
                 raise ValueError(f"subset is not symmetric at {(i, j)}")
         self.members = members
 
@@ -270,7 +274,7 @@ class SymmetricDiagramSubset:
 
 def double_subset(d: DiagramSubset) -> SymmetricDiagramSubset:
     """Reflect a shifted-diagram subset across the main diagonal."""
-    eta = symmetric_double(d.mu) if d.mu else ()
+    eta = symmetric_double(d.mu)
     boxes = set(d.members) | {(j, i) for i, j in d.members}
     return SymmetricDiagramSubset(eta, boxes)
 

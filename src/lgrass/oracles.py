@@ -1,7 +1,10 @@
 """Independent verification of the restriction formulas.
 
-Five suites, each returning a ``SuiteReport``.  The first three share no code
-path with the tableau sums:
+Five suites, each returning a ``SuiteReport``.  subword and gkm share no
+code path with the tableau sums.  The union oracle sums differently but reads
+the same chart coordinates (``entry_cut_pairs``) and weights
+(``coordinate_weight_k``) that the restriction DP multiplies, so a fault in
+those two is common to both and only subword and gkm can catch it:
 
 * oracle: the K-class of the union of the tableau-indexed coordinate
   subspaces as a Stanley-Reisner face sum, by one DP over the coordinates of
@@ -23,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .chart import coordinate_weight_k
-from .indexing import IsotropicIndex, enumerate_isotropic, length, sigma
+from .indexing import IsotropicIndex, bar, enumerate_isotropic, length, sigma
 # the divisible_by_* wrappers are unused here but stay importable:
 # bench/tracer.py patches them by name
 from .laurent import (LaurentPolynomial, divisible_by_k_root,  # noqa: F401
@@ -113,9 +116,11 @@ def _weyl_table(n: int) -> dict[tuple[int, ...], int]:
     """Window -> length on the 2^n minimal coset representatives only.
 
     These are the windows increasing in the order 1 < ... < n < -n < ... < -1,
-    one per alpha, of length l(alpha); the rest of the group is never built.
+    one per alpha, of length l(alpha): the window of
+    ``coset_representative(alpha)`` is ``alpha.signed``.  The rest of the
+    group is never built.
     """
-    return {coset_representative(a).window: length(a) for a in enumerate_isotropic(n)}
+    return {a.signed: length(a) for a in enumerate_isotropic(n)}
 
 
 def reduced_word(w: SignedPermutation) -> list[int]:
@@ -126,11 +131,11 @@ def reduced_word(w: SignedPermutation) -> list[int]:
     labels k and 2n+1-k of k and -k.
     """
     n = len(w.window)
-    labels = [v if v > 0 else 2 * n + 1 + v for v in w.window]
+    labels = [v if v > 0 else bar(-v, n) for v in w.window]
     word = []
     while True:
         if labels[-1] > n:
-            labels[-1] = 2 * n + 1 - labels[-1]
+            labels[-1] = bar(labels[-1], n)
             word.append(n)
             continue
         i = next((i for i in range(1, n) if labels[i - 1] > labels[i]), None)
@@ -185,7 +190,7 @@ def _subword_column(beta: IsotropicIndex) -> dict[IsotropicIndex, LaurentPolynom
         for u2, add in updates.items():
             got = states.get(u2)
             states[u2] = add if got is None else got + add
-    alphas = {coset_representative(a).window: a for a in enumerate_isotropic(n)}
+    alphas = {a.signed: a for a in enumerate_isotropic(n)}
     return {alphas[u]: value for u, value in states.items()}
 
 

@@ -8,7 +8,7 @@ families.
 from __future__ import annotations
 
 from .chart import chart_matrix_pattern
-from .indexing import IsotropicIndex, check_strict, normalize_partition, rho
+from .indexing import IsotropicIndex, bar, check_strict, normalize_partition, rho
 from .models import DiagramSubset, PathFamily
 from .tableaux import SetValuedShiftedTableau, ShiftedDiagram
 
@@ -21,8 +21,6 @@ def _cell_rows(row_spans: list[tuple[int, int]], text) -> str:
             width = max(width, len(text(r, c)))
     lines = []
     for r, (start, end) in enumerate(row_spans, start=1):
-        if end < start:
-            continue
         pad = " " * ((width + 1) * (start - 1))
         cells = "|".join(text(r, c).center(width) for c in range(start, end + 1))
         lines.append(f"{pad}|{cells}|")
@@ -85,7 +83,7 @@ def ascii_rho_figure(eta) -> str:
 
 
 def _label(k: int, n: int) -> str:
-    return str(k) if k <= n else str(-(2 * n + 1 - k))
+    return str(k) if k <= n else str(-bar(k, n))
 
 
 def ascii_chart_matrix(beta: IsotropicIndex) -> str:

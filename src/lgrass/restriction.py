@@ -138,22 +138,25 @@ def root_for_entry(x: int, z: int, beta: IsotropicIndex) -> PositiveRoot:
     With a = beta'(x) and b = beta'(z) the factor is -t_a - t_b; the case
     inequalities a <= b, a < bar(b), a <= n must all hold, and then the
     standard form is t_a + t_b (b <= n, a < b), 2t_a (a = b), or t_a - t_c
-    with c = bar(b) (b > n).
+    with c = bar(b) (b > n).  Raises CertificateError if x or z exceeds the
+    rank, and ValueError if (x, z) is off sigma(beta), as ``entry_cut_pairs``.
     """
-    return _root_at(x, z, beta.complement().values, beta.n)
-
-
-def _root_at(x: int, z: int, bp: tuple[int, ...], n: int) -> PositiveRoot:
-    """``root_for_entry`` with the complement values bp = beta' given."""
+    n = beta.n
     if x > n or z > n:
         raise CertificateError(f"entry indices ({x}, {z}) exceed rank {n}")
-    a, b = bp[x - 1], bp[z - 1]
-    if not (a <= b and a < bar(b, n) and a <= n):
+    (pair,) = entry_cut_pairs(((x, z),), beta)
+    return _root_at(*pair, n)
+
+
+def _root_at(a: int, c: int, n: int) -> PositiveRoot:
+    """``root_for_entry`` at the chart coordinate (a, c) = (beta'(x), bar(beta'(z)))."""
+    b = bar(c, n)
+    if not (a <= b and a < c and a <= n):
         raise CertificateError(
             f"factor (a, b) = ({a}, {b}) violates a <= b, a < bar(b), a <= n")
     if b <= n:
         return PositiveRoot("double", a, a) if a == b else PositiveRoot("sum", a, b)
-    return PositiveRoot("diff", a, bar(b, n))
+    return PositiveRoot("diff", a, c)
 
 
 def _check_ranks(alpha: IsotropicIndex, beta: IsotropicIndex) -> int:
@@ -280,9 +283,11 @@ def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex, theory: 
                            checked: dict | None = None) -> list[list[PositiveRoot]]:
     """Per tableau, per entry: the certified positive root of each factor.
 
-    Also re-derives each factor from its root and compares it with the factor
-    actually used by the restriction, so a certificate that returns is a
-    proof that every factor has the form e^theta - 1 (K) resp. theta (H).
+    Each entry's chart coordinate comes from ``entry_cut_pairs``, the call the
+    restriction DP makes for its factors; the root is read off that
+    coordinate, and the factor re-derived from the root is compared with the
+    coordinate's weight, so a certificate that returns is a proof that every
+    factor has the form e^theta - 1 (K) resp. theta (H).
     An entry's root and factor depend only on (x, z) for fixed beta and
     theory, so each distinct (x, z) is checked in full on its first
     occurrence and reused.  ``checked`` maps (x, z) to its certified root;
@@ -294,24 +299,20 @@ def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex, theory: 
     tableaux = enumerate_ssvt(lam, mu) if theory == "K" else enumerate_ssyt(lam, mu)
     if checked is None:
         checked = {}
-    bp = None  # beta', computed on the first entry not yet checked
     certificates = []
     for s in tableaux:
         roots = []
         for e in s.entries():
             root = checked.get((e.x, e.z))
             if root is None:
-                if bp is None:
-                    bp = beta.complement().values
-                root = _root_at(e.x, e.z, bp, n)
-                # the cut pair (beta'(x), bar(beta'(z))) of entry_cut_pairs
-                a, b = bp[e.x - 1], bar(bp[e.z - 1], n)
+                ((a, c),) = entry_cut_pairs(((e.x, e.z),), beta)
+                root = _root_at(a, c, n)
                 if theory == "K":
                     expected = root.exp_k(n) - 1
-                    actual = coordinate_weight_k(a, b, n) - 1
+                    actual = coordinate_weight_k(a, c, n) - 1
                 else:
                     expected = root.factor_h(n)
-                    actual = coordinate_weight_h(a, b, n)
+                    actual = coordinate_weight_h(a, c, n)
                 if expected != actual:
                     raise CertificateError(
                         f"factor mismatch for entry {e}: {actual} vs root {root}")

@@ -45,10 +45,6 @@ class ShiftedDiagram:
         return f"ShiftedDiagram({self.shape})"
 
 
-def shifted_diagram(lam) -> ShiftedDiagram:
-    return ShiftedDiagram(lam)
-
-
 class EntryContext(NamedTuple):
     """An entry x together with its box (r, c) and z = x + c - r."""
 
@@ -60,10 +56,6 @@ class EntryContext(NamedTuple):
 
 def entry_context(x: int, r: int, c: int) -> EntryContext:
     return EntryContext(x, r, c, x + c - r)
-
-
-def z_value(e: EntryContext) -> int:
-    return e.x + e.c - e.r
 
 
 class SetValuedShiftedTableau:
@@ -79,7 +71,8 @@ class SetValuedShiftedTableau:
     def __init__(self, rows) -> None:
         rows = tuple(tuple(tuple(sorted(set(map(int, box)))) for box in row)
                      for row in rows)
-        check_strict(tuple(len(row) for row in rows))
+        # check_strict drops trailing zero parts; the rows drop the empty ones
+        rows = rows[:len(check_strict(len(row) for row in rows))]
         for row in rows:
             for box in row:
                 if not box:
@@ -166,8 +159,6 @@ def _nonempty_subsets(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield head + tail
 
 
-# --suite all reuses the union oracle's single-entry tableaux in positivity H
-@functools.lru_cache(maxsize=None)
 def _enumerate(lam, mu, set_valued: bool) -> tuple[SetValuedShiftedTableau, ...]:
     """The tableaux of ``enumerate_ssvt`` resp. ``enumerate_ssyt``; lam and mu come checked."""
     # entry x fits at offset d = c - r iff d < mu_x; mu strict makes the
@@ -209,6 +200,12 @@ def _enumerate(lam, mu, set_valued: bool) -> tuple[SetValuedShiftedTableau, ...]
     return tuple(results)
 
 
+# --suite all reuses the union oracle's single-entry tableaux in positivity H;
+# no set-valued enumeration is asked for twice, so those are not kept
+_enumerate_young = functools.lru_cache(maxsize=None)(
+    functools.partial(_enumerate, set_valued=False))
+
+
 def enumerate_ssvt(lam, mu) -> list[SetValuedShiftedTableau]:
     """All semistandard set-valued shifted tableaux of shape lam on mu.
 
@@ -220,4 +217,4 @@ def enumerate_ssvt(lam, mu) -> list[SetValuedShiftedTableau]:
 
 def enumerate_ssyt(lam, mu) -> list[SetValuedShiftedTableau]:
     """The single-entry (Young) subset of ``enumerate_ssvt``."""
-    return list(_enumerate(check_strict(lam), check_strict(mu), False))
+    return list(_enumerate_young(check_strict(lam), check_strict(mu)))

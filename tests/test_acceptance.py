@@ -7,8 +7,8 @@ budgets on cold caches.
 
 import time
 
-from lgrass import (IsotropicIndex, LaurentPolynomial, SetValuedShiftedTableau,
-                    billey_restrict_h, chart_index_set, chart_matrix_pattern,
+from lgrass import (ChartIndexSet, IsotropicIndex, LaurentPolynomial,
+                    SetValuedShiftedTableau, billey_restrict_h, chart_matrix_pattern,
                     chern_consistency, enumerate_isotropic, enumerate_ssvt,
                     enumerate_ssyt, family_to_subset, gkm_check,
                     kclass_union_oracle, positivity_certificate,
@@ -23,7 +23,7 @@ BETA = IsotropicIndex(3, (3, 5, 6))
 
 def _cold_caches():
     lgrass.restriction._restriction_column.cache_clear()
-    lgrass.tableaux._enumerate.cache_clear()
+    lgrass.tableaux._enumerate_young.cache_clear()
 
 
 def _report(num, text):
@@ -86,7 +86,7 @@ def test_c03_three_models_commute():
 
 def test_c04_chart_pattern():
     beta = IsotropicIndex(4, (1, 4, 6, 7))
-    pairs = chart_index_set(beta).pairs
+    pairs = ChartIndexSet(beta).pairs
     assert pairs == ((2, 1), (2, 4), (2, 6), (2, 7), (3, 1), (3, 4), (3, 6),
                      (5, 1), (5, 4), (8, 1))
     expected = [
@@ -162,7 +162,7 @@ def test_c09_subword_oracle():
 
 
 def test_c10_structural_properties():
-    from lgrass import chart_index_set as R
+    from lgrass import ChartIndexSet as R
 
     for n in range(1, 6):
         images = {sigma(a) for a in enumerate_isotropic(n)}

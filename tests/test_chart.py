@@ -1,9 +1,9 @@
 import pytest
 
-from lgrass import (IsotropicIndex, LaurentPolynomial, SetValuedShiftedTableau,
-                    chart_index_set, chart_matrix_pattern, coordinate_weight_h,
-                    coordinate_weight_k, enumerate_isotropic, enumerate_ssyt,
-                    subspace_of_tableau)
+from lgrass import (ChartIndexSet, IsotropicIndex, LaurentPolynomial,
+                    SetValuedShiftedTableau, SubspaceSpec, chart_matrix_pattern,
+                    coordinate_weight_h, coordinate_weight_k, enumerate_isotropic,
+                    enumerate_ssyt, subspace_of_tableau)
 
 BETA4 = IsotropicIndex(4, (1, 4, 6, 7))  # {1, 4, bar(3), bar(2)}
 BETA3 = IsotropicIndex(3, (3, 5, 6))     # {3, bar(2), bar(1)}
@@ -27,19 +27,19 @@ def mono(n, exps):
 
 class TestChartIndexSet:
     def test_known_pairs(self):
-        got = chart_index_set(BETA4)
+        got = ChartIndexSet(BETA4)
         assert len(got) == 10
         assert got.pairs == ((2, 1), (2, 4), (2, 6), (2, 7), (3, 1), (3, 4),
                              (3, 6), (5, 1), (5, 4), (8, 1))
 
     def test_rank_one(self):
-        got = chart_index_set(IsotropicIndex(1, (1,)))
+        got = ChartIndexSet(IsotropicIndex(1, (1,)))
         assert got.pairs == ((2, 1),)
 
     def test_cardinality(self):
         for n in range(1, 6):
             for beta in enumerate_isotropic(n):
-                assert len(chart_index_set(beta)) == n * (n + 1) // 2
+                assert len(ChartIndexSet(beta)) == n * (n + 1) // 2
 
 
 class TestWeights:
@@ -59,7 +59,7 @@ class TestWeights:
 
     def test_h_is_lowest_form_of_k_factor(self):
         from lgrass import lowest_degree_form
-        for a, b in chart_index_set(BETA3):
+        for a, b in ChartIndexSet(BETA3):
             factor = 1 - coordinate_weight_k(a, b, 3)
             assert lowest_degree_form(factor) == coordinate_weight_h(a, b, 3)
 
@@ -75,7 +75,7 @@ class TestMatrixPattern:
     def test_mirror_cells_share_base_coordinate(self):
         # every cell of a beta'-row carries a pair from the index set
         for beta in enumerate_isotropic(3):
-            pairs = set(chart_index_set(beta).pairs)
+            pairs = set(ChartIndexSet(beta).pairs)
             for row in chart_matrix_pattern(beta):
                 for cell in row:
                     if cell[0] == "y":
@@ -122,6 +122,11 @@ class TestSubspaces:
         for s in enumerate_ssvt((2,), (3, 2)):
             spec = subspace_of_tableau(s, BETA3)
             assert len(spec.cut) == s.entry_count()
+
+    def test_cut_outside_chart_rejected(self):
+        # (5, 1) has a in beta, not in its complement
+        with pytest.raises(ValueError, match="outside the chart"):
+            SubspaceSpec(ChartIndexSet(BETA3), [(5, 1)])
 
     def test_entry_cut_pairs(self):
         from lgrass.chart import entry_cut_pairs, tableau_cut_pairs

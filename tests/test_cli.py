@@ -68,6 +68,11 @@ class TestRestrictCommand:
 
 
 class TestTableCommand:
+    def test_rank_zero_exit_2(self):
+        with pytest.raises(SystemExit) as err:
+            main(["table", "--n", "0"])
+        assert err.value.code == 2
+
     def test_rank_one_h(self, capsys):
         code, out = run(capsys, "table", "--n", "1", "--theory", "H")
         assert code == 0
@@ -174,6 +179,17 @@ class TestRenderCommand:
         with pytest.raises(SystemExit) as err:
             main(["render", "--lam", "2"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--lam", "2", "--mu", "3,1", "--which", "tableaux", "--index", "-1"),
+        ("--lam", "2", "--mu", "3,1", "--which", "tableaux", "--index", "5"),
+        ("--lam", "3", "--mu", "2,1", "--index", "0"),  # no elements at all
+    ], ids=["negative", "past-end", "empty"])
+    def test_index_out_of_range_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(["render", *argv])
+        assert err.value.code == 2
+        assert "--index" in capsys.readouterr().err
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "fig.svg"

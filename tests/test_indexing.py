@@ -194,3 +194,14 @@ class TestNormalization:
             normalize_partition((1, 2))
         with pytest.raises(ValueError):
             normalize_partition((2, -1))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: IsotropicIndex(0, ()), "rank must be"),
+    (lambda: IsotropicIndex.from_signed(2, (3, 1)), "out of range"),
+    (lambda: IsotropicIndex.from_signed(2, (0, 1)), "out of range"),
+    (lambda: idx(1, 1) < idx(2, 1, 2), "different rank"),
+], ids=["rank-0", "signed-too-big", "signed-zero", "compare-ranks"])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

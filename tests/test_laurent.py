@@ -433,3 +433,23 @@ class TestTableRenderers:
         assert p._json_text(memo_json) == json.dumps(p.to_json())
         assert p.pretty(memo_text) == pretty_reference(p)
         assert len(memo_json) == len(memo_text) == len(p.terms())
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: P(2, {(1,): 1}), "wrong length"),
+    (lambda: LaurentPolynomial(-1), "variable count"),
+    (lambda: LaurentPolynomial.constant(-1, 1), "variable count"),
+    (lambda: var(4), "out of range"),
+    (lambda: var(0), "out of range"),
+    (lambda: (var(1) + 1) ** -1, "negative powers"),
+    (lambda: root_images(var(1) ** 2, "H"), "not a linear form"),
+    (lambda: root_images(var(1) + var(2) + var(3), "K"), "rank-one"),
+    (lambda: root_images(3 * var(1), "H"), "unexpected root coefficient "),
+    (lambda: root_images(2 * var(1) + var(2), "K"), "unexpected root coefficients"),
+    (lambda: divisible_by_root_h(var(1, power=-1), var(1)), "nonnegative"),
+], ids=["vector-length", "n-negative", "constant-n-negative", "var-high", "var-zero",
+        "negative-power", "root-not-linear", "root-three-terms", "root-coefficient",
+        "root-coefficients", "h-negative-exponent"])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -1,6 +1,7 @@
 import pytest
 
-from lgrass import (DiagramSubset, SetValuedShiftedTableau, double_subset,
+from lgrass import (DiagramSubset, PathFamily, SetValuedShiftedTableau,
+                    SymmetricDiagramSubset, SymmetricTableau, double_subset,
                     enumerate_model, enumerate_ssyt, family_to_subset,
                     fold_subset, fold_symmetric, subset_to_family,
                     subset_to_tableau, tableau_to_subset, unfold_symmetric)
@@ -183,3 +184,37 @@ class TestSymmetricDoubling:
         for p in enumerate_ssyt(LAM, MU):
             d = tableau_to_subset(p, MU)
             assert fold_subset(double_subset(d)) == d
+
+    def test_trailing_empty_grid_rows_dropped(self):
+        # the shape drops its trailing zero part, so the grid drops its empty row
+        assert SymmetricTableau((1, 0), ((1,), ())) == SymmetricTableau((1,), ((1,),))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: DiagramSubset((2,), {(2, 2)}), "outside the diagram"),
+    (lambda: PathFamily((2,), [[(2, 2)]]), "outside the diagram"),
+    (lambda: PathFamily((2, 1), [[(1, 1)], [(1, 1)]]), "paths intersect"),
+    (lambda: PathFamily((2, 1), [[(1, 2), (2, 2)]]), "not an up/right step"),
+    (lambda: tableau_to_subset(tab(((1,), (1,)), ((1,),)), (2, 1)), "collide"),
+    (lambda: subset_to_tableau(DiagramSubset((3, 1), {(1, 1), (1, 3)}), (1,)),
+     "unexpected diagonals"),
+    (lambda: subset_to_tableau(DiagramSubset((2, 1), {(2, 2), (1, 2)}), (2,)),
+     "not in the image"),
+    (lambda: SymmetricTableau((2,), ((1, 2),)), "not symmetric"),
+    (lambda: SymmetricTableau((1,), ((1,), (2,))), "does not match shape"),
+    (lambda: SymmetricTableau((2, 1), ((2, 1), (3,))), "increase weakly"),
+    (lambda: SymmetricTableau((3, 3, 2), ((1, 2, 5), (3, 4, 5), (7, 6))),
+     "increase strictly"),
+    (lambda: SymmetricTableau((2, 1), ((1, 2), (4,))), "symmetry fails"),
+    (lambda: SymmetricDiagramSubset((2,), ()), "not symmetric"),
+    (lambda: SymmetricDiagramSubset((1,), {(1, 2)}), "outside the diagram"),
+    (lambda: SymmetricDiagramSubset((2, 1), {(1, 2)}), "not symmetric at"),
+    (lambda: unfold_symmetric(tab(((1, 2),))), "single-entry"),
+], ids=["subset-box-off", "path-box-off", "paths-intersect", "path-step",
+        "images-collide", "extra-diagonal", "outside-image", "sym-shape",
+        "sym-grid-shape", "sym-rows", "sym-columns", "sym-symmetry",
+        "sym-subset-shape", "sym-subset-box-off", "sym-subset-asymmetric",
+        "unfold-set-valued"])
+def test_input_checks(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

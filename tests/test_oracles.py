@@ -398,3 +398,9 @@ class TestSuites:
         data = report.to_json()
         assert data["suite"] == "chern" and data["ok"] is True
         assert data["checks"] == 4
+
+
+@pytest.mark.parametrize("oracle", [billey_restrict_h, kclass_union_oracle])
+def test_rank_mismatch_rejected(oracle):
+    with pytest.raises(ValueError, match="rank mismatch"):
+        oracle(ALPHA, IsotropicIndex(2, (1, 2)))

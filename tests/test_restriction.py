@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial,
+from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, PositiveRoot,
                     coordinate_weight_h, coordinate_weight_k,
                     enumerate_isotropic, enumerate_ssvt, enumerate_ssyt, length,
                     positive_roots, positivity_certificate, restrict, restrict_h,
@@ -154,6 +154,21 @@ class TestPositiveRoots:
     def test_invalid_entry_rejected(self):
         with pytest.raises(CertificateError):
             root_for_entry(1, 4, BETA)  # z exceeds the rank
+
+    def test_entry_off_sigma_beta_rejected(self):
+        # (2, 1) lies below the diagonal of sigma(BETA) = (3, 2), as entry_cut_pairs says
+        with pytest.raises(ValueError, match="not on sigma"):
+            root_for_entry(2, 1, BETA)
+
+    @pytest.mark.parametrize("kind,i,j,match", [
+        ("half", 1, 2, "unknown root kind"),
+        ("double", 1, 2, "i == j"),
+        ("diff", 2, 1, "i < j"),
+        ("sum", 2, 2, "i < j"),
+    ])
+    def test_bad_root_rejected(self, kind, i, j, match):
+        with pytest.raises(ValueError, match=match):
+            PositiveRoot(kind, i, j)
 
 
 class TestTable:

@@ -1,8 +1,8 @@
 import pytest
 
 from lgrass import (SetValuedShiftedTableau, ShiftedDiagram, entry_context,
-                    enumerate_ssvt, enumerate_ssyt, is_on, is_semistandard,
-                    shifted_diagram, z_value)
+                    enumerate_ssvt, enumerate_ssyt, is_on, is_semistandard)
+from lgrass.render import svg_tableau
 from helpers import brute_force_tableaux
 
 
@@ -39,15 +39,15 @@ FIGURE2 = tab(
 
 class TestShiftedDiagram:
     def test_boxes_and_rows(self):
-        d = shifted_diagram((5, 3, 2, 1))
+        d = ShiftedDiagram((5, 3, 2, 1))
         assert len(d) == 11
         assert [(2, c) for c in (2, 3, 4)] == [b for b in d.boxes() if b[0] == 2]
 
     def test_empty(self):
-        assert list(shifted_diagram(()).boxes()) == []
+        assert list(ShiftedDiagram(()).boxes()) == []
 
     def test_staircase(self):
-        d = shifted_diagram((9, 8, 5, 2, 1))
+        d = ShiftedDiagram((9, 8, 5, 2, 1))
         assert len(d) == 25
         for r, part in enumerate((9, 8, 5, 2, 1), start=1):
             row = [b for b in d.boxes() if b[0] == r]
@@ -55,7 +55,7 @@ class TestShiftedDiagram:
 
     def test_rejects_non_strict(self):
         with pytest.raises(ValueError):
-            shifted_diagram((2, 2))
+            ShiftedDiagram((2, 2))
 
     def test_membership(self):
         d = ShiftedDiagram((3, 1))
@@ -63,11 +63,23 @@ class TestShiftedDiagram:
         assert (2, 3) not in d and (1, 4) not in d
 
 
+class TestTrailingEmptyRows:
+    """Rows are normalised like the shape: trailing empty rows are dropped."""
+
+    def test_equal_to_one_box(self):
+        s = tab(((1,),), ())
+        assert s.shape == (1,)
+        assert s == tab(((1,),))
+
+    def test_svg_height(self):
+        assert 'height="41"' in svg_tableau(tab(((1,),), ()))
+
+
 class TestZValue:
     def test_examples(self):
-        assert z_value(entry_context(2, 1, 2)) == 3
-        assert z_value(entry_context(1, 1, 1)) == 1
-        assert z_value(entry_context(4, 2, 3)) == 5
+        assert entry_context(2, 1, 2).z == 3
+        assert entry_context(1, 1, 1).z == 1
+        assert entry_context(4, 2, 3).z == 5
 
     def test_invariant(self):
         e = entry_context(5, 2, 4)
