@@ -11,20 +11,27 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import marshal
+import os
 import sys
 
 from . import render
 from .chart import ChartIndexSet, coordinate_weight_h, coordinate_weight_k
-from .indexing import IsotropicIndex, check_strict, enumerate_isotropic
+from .indexing import (IsotropicIndex, check_strict, enumerate_isotropic, is_symmetric,
+                       normalize_partition, sigma)
+from .laurent import LaurentPolynomial
 from .models import MODEL_NAMES, enumerate_model
 from .oracles import run_verification
-from .restriction import restrict
+# restrict is unused here but stays importable: bench/tracer.py patches it by name
+from .restriction import column_values, restrict  # noqa: F401
 
-# Largest n per table theory, from measured cost on 2 Xeon cores: a cold
-# `table --n 6 --theory K --out json` takes 11 s and 340 MB, about 4 s of it
-# writing the JSON (n=7 K was not run: n=6 already holds 2.58 M monomials), and
-# a cold `table --n 7 --theory H` 50 s and 1.2 GB, about 28 s of it formatting
-# 10.2 M monomials.
+# Largest n per table theory, from measured cost on 2 shared Xeon cores, where
+# `table` builds and renders its columns in one process per usable CPU: a cold
+# `table --n 6 --theory K --out json` takes 5.4-7.1 s and 217 MB in its largest
+# process (8.5-11 s and 340 MB on one process; n=7 K was not run: n=6 already
+# holds 2.58 M monomials), and a cold `table --n 7 --theory H` 30-35 s and
+# 660 MB (44-60 s and 1.2 GB on one process), most of it formatting 10.2 M
+# monomials.
 TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # Largest n per verify suite, from measured cost on 2 shared Xeon cores: a
 # cold `verify --n 6 --suite gkm` takes 45-53 s and 350 MB (86 016 edge
@@ -83,26 +90,100 @@ def _cmd_table(args) -> int:
     if args.n > limit:
         raise ValueError(f"table rank guard: n <= {limit} for --theory {args.theory}")
     points = enumerate_isotropic(args.n)
+    text_of = LaurentPolynomial._json_text if args.out == "json" else LaurentPolynomial.pretty
+    memo = {}  # packed exponent key -> its rendered text, in each process
+
+    def column_cells(j):
+        return [text_of(value, memo) for value in column_values(points[j], args.theory, points)]
+
+    # heaviest columns first, so the round-robin deal ends on the light ones
+    order = sorted(range(len(points)), key=lambda j: -sum(sigma(points[j])))
+    columns = [cells for _, cells in sorted(zip(order, _forked_map(column_cells, order)))]
     out = sys.stdout
-    memo = {}  # packed exponent key -> its rendered text, for this table only
     if args.out == "json":
         # the text of json.dumps of {"n", "theory", "points", "rows": {alpha:
         # {beta: value.to_json()}}}, written one row at a time
         keys = [json.dumps(str(p)) for p in points]
         out.write('{"n": %d, "theory": %s, "points": %s, "rows": {'
                   % (args.n, json.dumps(args.theory), json.dumps([str(p) for p in points])))
-        for i, a in enumerate(points):
-            cells = ", ".join(f"{key}: {restrict(a, b, args.theory).value._json_text(memo)}"
-                              for key, b in zip(keys, points))
+        for i in range(len(points)):
+            cells = ", ".join(f"{key}: {column[i]}" for key, column in zip(keys, columns))
             out.write(f"{', ' if i else ''}{keys[i]}: {{{cells}}}")
         out.write("}}\n")
     else:
         writer = csv.writer(out)
         writer.writerow(["alpha\\beta"] + [str(b) for b in points])
-        for a in points:
-            writer.writerow([str(a)] + [restrict(a, b, args.theory).value.pretty(memo)
-                                        for b in points])
+        for i, a in enumerate(points):
+            writer.writerow([str(a)] + [column[i] for column in columns])
     return 0
+
+
+def _usable_cpus() -> int:
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forked_map(fn, jobs: list) -> list:
+    """[fn(job) for job in jobs], dealt round-robin over one process per usable CPU.
+
+    With w = min(usable CPUs, len(jobs)), process k takes jobs k, k + w, ....
+    Process 0 is this one and the others are fork children, which send their
+    results back through a pipe with marshal, so fn must return values that
+    marshal can write.  Every child is reaped before this returns or raises,
+    and a child that failed raises RuntimeError here.
+    """
+    w = min(_usable_cpus(), len(jobs))
+    children = []
+    try:
+        for k in range(1, w):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _run_child(fn, jobs[k::w], write)
+            os.close(write)
+            children.append((pid, read))
+        results = [None] * len(jobs)
+        results[::w] = [fn(job) for job in jobs[::w]]
+    finally:
+        shares = [_reap(pid, read) for pid, read in children]
+    for k, (status, data) in enumerate(shares, start=1):
+        if status:
+            raise RuntimeError(f"worker {k} of {w} failed with exit status {status}")
+        results[k::w] = marshal.loads(data)
+    return results
+
+
+def _run_child(fn, jobs: list, write: int):
+    """In a fork child: write marshal([fn(job) for job in jobs]) to write and exit."""
+    status = 1
+    try:
+        data = marshal.dumps([fn(job) for job in jobs])
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    except BaseException:  # a fork child must never unwind into its parent's code
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read: int) -> tuple[int, bytes]:
+    """Read a child's pipe to its end and wait for it: (exit status, bytes)."""
+    try:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return status, data
 
 
 def _model_json(name, item):
@@ -136,13 +217,15 @@ def _cmd_models(args) -> int:
 def _cmd_render(args) -> int:
     out = []
     if args.rho is not None:
-        eta = tuple(int(tok) for tok in args.rho.split(",") if tok.strip())
+        eta = normalize_partition(int(tok) for tok in args.rho.split(",") if tok.strip())
+        if not is_symmetric(eta):
+            raise ValueError(f"--rho {args.rho} is not a symmetric partition")
         out.append(render.svg_rho_figure(eta) if args.format == "svg"
                    else render.ascii_rho_figure(eta))
     else:
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
-        names = MODEL_NAMES if args.which == "all" else (args.which,)
+        names = MODEL_NAMES if args.which in (None, "all") else (args.which,)
         ascii_of = {"tableaux": render.ascii_shifted_tableau,
                     "subsets": render.ascii_subset,
                     "families": render.ascii_family}
@@ -245,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="ASCII or SVG pictures of the models")
     p.add_argument("--lam", help="strict partition")
     p.add_argument("--mu", help="strict partition")
-    p.add_argument("--which", choices=MODEL_NAMES + ("all",), default="all")
+    p.add_argument("--which", choices=MODEL_NAMES + ("all",), help="default: all")
     p.add_argument("--index", type=int, help="render just one element")
     p.add_argument("--rho", help="symmetric partition: draw it and its truncation")
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
@@ -295,9 +378,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_value_flags(list(argv)))
     if getattr(args, "n", 1) < 1:
         parser.error("n must be >= 1")
-    if (args.command == "render" and args.rho is None
-            and (args.lam is None or args.mu is None)):
-        parser.error("render needs --lam and --mu, or --rho")
+    if args.command == "render":
+        if args.rho is None and (args.lam is None or args.mu is None):
+            parser.error("render needs --lam and --mu, or --rho")
+        if args.rho is not None:
+            for flag in ("lam", "mu", "which", "index"):
+                if getattr(args, flag) is not None:
+                    parser.error(f"render --rho takes no --{flag}")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -178,9 +178,7 @@ def sigma_inverse(lam, n: int) -> IsotropicIndex:
     lam = check_strict(lam)
     if lam and lam[0] > n:
         raise ValueError(f"first part of {lam} exceeds rank {n}")
-    eta = symmetric_double(lam)
-    if len(eta) > n:
-        raise ValueError(f"{lam} is not in M_{n}")
+    eta = symmetric_double(lam)  # symmetric, so len(eta) == eta[0] == lam[0] <= n
     eta = eta + (0,) * (n - len(eta))
     values = [eta[n - i] + i for i in range(1, n + 1)]
     return IsotropicIndex(n, values)

@@ -263,10 +263,26 @@ def restrict(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str) -> Restri
     """Restriction of the Schubert class of alpha at beta, read from beta's column."""
     if theory not in ("K", "H"):
         raise ValueError(f"theory must be 'K' or 'H', got {theory!r}")
-    n = _check_ranks(alpha, beta)
-    entry = _restriction_column(beta, theory).get(sigma(alpha))
-    value, count = entry if entry is not None else (LaurentPolynomial.zero(n), 0)
+    _check_ranks(alpha, beta)
+    value, count = _column_entry(_restriction_column(beta, theory), alpha)
     return RestrictionResult(alpha, beta, theory, value, count)
+
+
+def column_values(beta: IsotropicIndex, theory: str, alphas) -> list[LaurentPolynomial]:
+    """The restriction values at beta of each of alphas, from one uncached column.
+
+    For a caller that visits each beta once, such as ``table``: the column is
+    built by ``_restriction_column``'s DP, bypassing its cache, and freed on return.
+    """
+    column = _restriction_column.__wrapped__(beta, theory)
+    return [_column_entry(column, alpha)[0] for alpha in alphas]
+
+
+def _column_entry(column: dict[tuple[int, ...], tuple[LaurentPolynomial, int]],
+                 alpha: IsotropicIndex) -> tuple[LaurentPolynomial, int]:
+    """alpha's (value, tableau count) in a beta column: zero where sigma(alpha) is no key."""
+    entry = column.get(sigma(alpha))
+    return entry if entry is not None else (LaurentPolynomial.zero(alpha.n), 0)
 
 
 def restrict_k(alpha: IsotropicIndex, beta: IsotropicIndex) -> RestrictionResult:

@@ -1,16 +1,38 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lgrass
+from lgrass import IsotropicIndex, cli, oracles
 from lgrass.cli import VERIFY_RANK_LIMITS, main, parse_index, parse_partition
-from lgrass import IsotropicIndex, oracles
+
+SRC = os.path.dirname(os.path.dirname(lgrass.__file__))
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def use_cpus(monkeypatch, count):
+    """Make the table workers see count usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def python(*argv):
+    """Run a fresh interpreter on lgrass from this checkout; its CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
 
 
 class TestParsing:
@@ -120,6 +142,50 @@ class TestTableCommand:
         _, out2 = run(capsys, "table", "--n", "2", "--theory", "H")
         assert out1 == out2
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("theory,out", [("K", "json"), ("K", "csv"),
+                                            ("H", "json"), ("H", "csv")])
+    def test_same_bytes_on_1_2_3_processes(self, capsys, monkeypatch, n, theory, out):
+        texts = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            code, text = run(capsys, "table", "--n", str(n), "--theory", theory, "--out", out)
+            assert code == 0
+            assert_no_child_left()
+            texts.append(text)
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_failing_column_writes_nothing_and_reaps(self, capsys, monkeypatch, where):
+        use_cpus(monkeypatch, 3)
+        parent = os.getpid()
+        column_values = cli.column_values
+
+        def failing(beta, theory, alphas):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ArithmeticError("injected column failure")
+            return column_values(beta, theory, alphas)
+
+        monkeypatch.setattr(cli, "column_values", failing)
+        expected = ArithmeticError if where == "parent" else RuntimeError
+        with pytest.raises(expected):
+            main(["table", "--n", "3", "--theory", "K", "--out", "json"])
+        assert capsys.readouterr().out == ""
+        assert_no_child_left()
+
+    def test_stdout_pipe_matches_in_process_bytes(self, capsys):
+        # a fork child must never flush a copy of the parent's buffered stdout
+        _, text = run(capsys, "table", "--n", "3", "--theory", "K", "--out", "json")
+        proc = python("-m", "lgrass.cli", "table", "--n", "3", "--theory", "K", "--out", "json")
+        assert proc.stdout == text.encode()
+
+    def test_import_starts_no_process_or_thread_machinery(self):
+        # -S: site's own imports would hide what lgrass.cli loads
+        proc = python("-S", "-c", "import sys, lgrass.cli; print(' '.join(sorted(sys.modules)))")
+        loaded = {name.partition(".")[0] for name in proc.stdout.decode().split()}
+        assert "lgrass" in loaded
+        assert not loaded & {"multiprocessing", "pickle", "threading", "concurrent"}
+
 
 class TestModelsCommand:
     def test_counts(self, capsys):
@@ -191,9 +257,23 @@ class TestRenderCommand:
         assert err.value.code == 2
         assert "--index" in capsys.readouterr().err
 
+    def test_rho_not_symmetric_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["render", "--rho", "3,1"])
+        assert err.value.code == 2
+        assert "not a symmetric partition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [("--lam", "2"), ("--mu", "3,1"), ("--which", "all"),
+                                       ("--index", "7")], ids=lambda extra: extra[0])
+    def test_rho_with_model_flag_exit_2(self, capsys, extra):
+        with pytest.raises(SystemExit) as err:
+            main(["render", "--rho", "3,2,1", *extra])
+        assert err.value.code == 2
+        assert f"takes no {extra[0]}" in capsys.readouterr().err
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "fig.svg"
-        code, _ = run(capsys, "render", "--rho", "3,2", "--format", "svg",
+        code, _ = run(capsys, "render", "--rho", "3,2,1", "--format", "svg",
                       "--output", str(target))
         assert code == 0
         assert target.read_text().startswith("<svg")

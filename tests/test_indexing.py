@@ -113,6 +113,12 @@ class TestPartitionMaps:
         for a in enumerate_isotropic(3):
             assert sigma_inverse(sigma(a), 3) == a
 
+    def test_symmetric_double_length_is_first_part(self):
+        # why sigma_inverse needs no check on len(eta) beyond lam[0] <= n
+        for bits in range(1 << 8):
+            lam = tuple(k for k in range(8, 0, -1) if bits >> (k - 1) & 1)
+            assert len(symmetric_double(lam)) == (lam[0] if lam else 0)
+
     def test_sigma_inverse_rejects(self):
         with pytest.raises(ValueError):
             sigma_inverse((2, 2), 3)

@@ -7,7 +7,7 @@ from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, Positiv
                     positive_roots, positivity_certificate, restrict, restrict_h,
                     restrict_k, restriction_table, root_for_entry, sigma)
 from lgrass.chart import tableau_cut_pairs
-from lgrass.restriction import _restriction_column
+from lgrass.restriction import _restriction_column, _root_at, column_values
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
@@ -155,6 +155,11 @@ class TestPositiveRoots:
         with pytest.raises(CertificateError):
             root_for_entry(1, 4, BETA)  # z exceeds the rank
 
+    @pytest.mark.parametrize("a,c", [(2, 4), (2, 2)], ids=["a > bar(c)", "a >= c"])
+    def test_coordinate_off_the_inequalities_rejected(self, a, c):
+        with pytest.raises(CertificateError, match="violates"):
+            _root_at(a, c, 2)
+
     def test_entry_off_sigma_beta_rejected(self):
         # (2, 1) lies below the diagonal of sigma(BETA) = (3, 2), as entry_cut_pairs says
         with pytest.raises(ValueError, match="not on sigma"):
@@ -260,6 +265,15 @@ class TestRestrictionColumn:
             value, count = _restriction_column(beta, theory)[sigma(alpha)]
             res = restrict(alpha, beta, theory)
             assert res.value is value and res.term_count == count
+
+    @pytest.mark.parametrize("theory", ["K", "H"])
+    def test_column_values_match_restrict_and_cache_nothing(self, theory):
+        points = enumerate_isotropic(3)
+        for beta in points:
+            _restriction_column.cache_clear()
+            got = column_values(beta, theory, points)
+            assert _restriction_column.cache_info().currsize == 0
+            assert got == [restrict(a, beta, theory).value for a in points]
 
     def test_h_column_matches_literal_n5(self):
         points = enumerate_isotropic(5)
