@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import marshal
-import os
 import sys
 
 from . import render
@@ -24,6 +22,7 @@ from .models import MODEL_NAMES, enumerate_model
 from .oracles import run_verification
 # restrict is unused here but stays importable: bench/tracer.py patches it by name
 from .restriction import column_values, restrict  # noqa: F401
+from .workers import forked_map
 
 # Largest n per table theory, from measured cost on 2 shared Xeon cores, where
 # `table` builds and renders its columns in one process per usable CPU: a cold
@@ -33,15 +32,16 @@ from .restriction import column_values, restrict  # noqa: F401
 # 660 MB (44-60 s and 1.2 GB on one process), most of it formatting 10.2 M
 # monomials.
 TABLE_RANK_LIMITS = {"K": 6, "H": 7}
-# Largest n per verify suite, from measured cost on 2 shared Xeon cores: a
-# cold `verify --n 6 --suite gkm` takes 45-53 s and 350 MB (86 016 edge
-# checks, about 6 s of it the n=6 K and H columns), `--suite positivity`
-# 5-6 s (8 192 certificates) and `--suite subword` about 1.5 s (about 0.6 s
-# of it the n=6 H columns).  chern was not run at n=6 (n=5 takes about 3.5 s
-# on 94 616 monomials, n=6 has 2.58 M).  A cold `verify --n 5 --suite oracle`
-# takes 2.3-2.5 s and 39 MB, `--suite all` at n=5 7.4-7.7 s and 39 MB; the
-# oracle's face-sum DP over all n=6 pairs took 367-384 s in-process, so it
-# stays at n <= 5.  --suite all takes the minimum.
+# Largest n per verify suite, from cold CLI runs on 2 shared Xeon cores, where
+# `verify` deals its beta columns and gkm rows over one process per usable CPU
+# (time, then peak RSS of the largest process): `--n 6 --suite gkm` 34-37 s and
+# 312 MB (86 016 edge checks; every process builds all n=6 K and H columns),
+# `--suite positivity` 3.0-3.2 s and 22 MB (8 192 certificates), `--suite
+# subword` 1.0 s and 54 MB.  chern was not run at n=6 (n=5 takes about 3.5 s
+# on one process on 94 616 monomials, n=6 has 2.58 M).  `--n 5 --suite
+# oracle` takes 1.5-2.0 s and 32 MB, `--suite all` at n=5 4.2-4.3 s and 29 MB;
+# the oracle's face-sum DP over all n=6 pairs took 367-384 s on one process,
+# so it stays at n <= 5.  --suite all takes the minimum.
 VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 5, "positivity": 6, "subword": 6}
 
 
@@ -96,9 +96,9 @@ def _cmd_table(args) -> int:
     def column_cells(j):
         return [text_of(value, memo) for value in column_values(points[j], args.theory, points)]
 
-    # heaviest columns first, so the round-robin deal ends on the light ones
+    # heaviest columns first, so the deal ends on the light ones
     order = sorted(range(len(points)), key=lambda j: -sum(sigma(points[j])))
-    columns = [cells for _, cells in sorted(zip(order, _forked_map(column_cells, order)))]
+    columns = [cells for _, cells in sorted(zip(order, forked_map(column_cells, order)))]
     out = sys.stdout
     if args.out == "json":
         # the text of json.dumps of {"n", "theory", "points", "rows": {alpha:
@@ -116,74 +116,6 @@ def _cmd_table(args) -> int:
         for i, a in enumerate(points):
             writer.writerow([str(a)] + [column[i] for column in columns])
     return 0
-
-
-def _usable_cpus() -> int:
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _forked_map(fn, jobs: list) -> list:
-    """[fn(job) for job in jobs], dealt round-robin over one process per usable CPU.
-
-    With w = min(usable CPUs, len(jobs)), process k takes jobs k, k + w, ....
-    Process 0 is this one and the others are fork children, which send their
-    results back through a pipe with marshal, so fn must return values that
-    marshal can write.  Every child is reaped before this returns or raises,
-    and a child that failed raises RuntimeError here.
-    """
-    w = min(_usable_cpus(), len(jobs))
-    children = []
-    try:
-        for k in range(1, w):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _run_child(fn, jobs[k::w], write)
-            os.close(write)
-            children.append((pid, read))
-        results = [None] * len(jobs)
-        results[::w] = [fn(job) for job in jobs[::w]]
-    finally:
-        shares = [_reap(pid, read) for pid, read in children]
-    for k, (status, data) in enumerate(shares, start=1):
-        if status:
-            raise RuntimeError(f"worker {k} of {w} failed with exit status {status}")
-        results[k::w] = marshal.loads(data)
-    return results
-
-
-def _run_child(fn, jobs: list, write: int):
-    """In a fork child: write marshal([fn(job) for job in jobs]) to write and exit."""
-    status = 1
-    try:
-        data = marshal.dumps([fn(job) for job in jobs])
-        with open(write, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    except BaseException:  # a fork child must never unwind into its parent's code
-        sys.excepthook(*sys.exc_info())
-        sys.stderr.flush()
-    finally:
-        os._exit(status)
-
-
-def _reap(pid: int, read: int) -> tuple[int, bytes]:
-    """Read a child's pipe to its end and wait for it: (exit status, bytes)."""
-    try:
-        with open(read, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return status, data
 
 
 def _model_json(name, item):

@@ -1,6 +1,6 @@
 """Independent verification of the restriction formulas.
 
-Five suites, each returning a ``SuiteReport``.  subword and gkm share no
+Five suites, each summed up in a ``SuiteReport``.  subword and gkm share no
 code path with the tableau sums.  The union oracle sums differently but reads
 the same chart coordinates (``entry_cut_pairs``) and weights
 (``coordinate_weight_k``) that the restriction DP multiplies, so a fault in
@@ -17,13 +17,17 @@ those two is common to both and only subword and gkm can catch it:
   restriction;
 * positivity: every factor of every tableau is e^theta - 1 (K) resp. theta
   (H) for a positive root theta, by ``positivity_certificate``.
+
+``run_verification`` splits the suites into jobs, one beta column of a pair
+suite or one (theory, alpha) row of gkm, and deals them over one process per
+usable CPU (``workers.forked_map``).
 """
 
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chart import coordinate_weight_k
 from .indexing import IsotropicIndex, bar, enumerate_isotropic, length, sigma
@@ -34,6 +38,7 @@ from .laurent import (LaurentPolynomial, divisible_by_k_root,  # noqa: F401
 from .restriction import (PositiveRoot, positive_roots, positivity_certificate,
                           restrict, restrict_h, restrict_k)
 from .tableaux import enumerate_ssyt
+from .workers import forked_map
 
 
 # ---------------------------------------------------------------------------
@@ -360,90 +365,165 @@ class SuiteReport:
                 "ok": self.ok, "failures": self.failures}
 
 
-def _pair_suite(suite: str, n: int, *checks) -> SuiteReport:
-    """Every one of ``checks`` at every (alpha, beta) pair of rank n, in that order.
+class Share(NamedTuple):
+    """One job's part of a suite: its check count and its tagged failures.
+
+    A pair-suite failure is (alpha index, beta index, check index, message)
+    and a gkm failure (theory index, alpha index, message), so sorting a
+    suite's failures by their tags puts them in single-process order.
+    """
+    checks: int
+    failures: list[tuple]
+
+
+def _pair_column(points: list[IsotropicIndex], j: int, *checks) -> Share:
+    """Every one of ``checks`` at (alpha, points[j]) for every alpha in points, in that order.
 
     A check ``check(a, b)`` returns None when it passes and the failure's
     message otherwise; each call counts as one check.
     """
-    report = SuiteReport(suite, n)
-    points = enumerate_isotropic(n)
-    for a in points:
-        for b in points:
-            for check in checks:
-                report.checks += 1
-                failure = check(a, b)
-                if failure is not None:
-                    report.failures.append(failure)
-    return report
+    b = points[j]
+    failures = []
+    for i, a in enumerate(points):
+        for c, check in enumerate(checks):
+            failure = check(a, b)
+            if failure is not None:
+                failures.append((i, j, c, failure))
+    return Share(len(points) * len(checks), failures)
 
 
-def verify_oracle(n: int) -> SuiteReport:
+def _oracle_job(points: list[IsotropicIndex], j: int) -> Share:
     def check(a, b):
         if restrict_k(a, b).value != kclass_union_oracle(a, b):
             return f"oracle mismatch at ({a}; {b})"
 
-    return _pair_suite("oracle", n, check)
+    return _pair_column(points, j, check)
 
 
-def verify_gkm(n: int, corrupt: bool = False) -> SuiteReport:
-    report = SuiteReport("gkm", n)
-    for theory in ("H", "K"):
-        for a in enumerate_isotropic(n):
-            sub = gkm_check(a, n, theory, corrupt=corrupt)
-            report.checks += sub.checks
-            report.failures.extend(f"{theory} alpha={a}: {msg}" for msg in sub.failures)
-    return report
-
-
-def verify_chern(n: int) -> SuiteReport:
+def _chern_job(points: list[IsotropicIndex], j: int) -> Share:
     def check(a, b):
         if not chern_consistency(a, b):
             return f"chern mismatch at ({a}; {b})"
 
-    return _pair_suite("chern", n, check)
+    return _pair_column(points, j, check)
 
 
-def verify_positivity(n: int) -> SuiteReport:
-    checked = defaultdict(dict)  # one (x, z) -> root memo per (beta, theory), for this run
+def _positivity_job(points: list[IsotropicIndex], j: int) -> Share:
+    checked = {"K": {}, "H": {}}  # one (x, z) -> root memo per theory, for this beta
 
     def certify(theory, a, b):
         try:
-            positivity_certificate(a, b, theory, checked[b, theory])
+            positivity_certificate(a, b, theory, checked[theory])
         except Exception as exc:  # CertificateError and anything it masks
             return f"{theory} ({a}; {b}): {exc}"
 
-    return _pair_suite("positivity", n, functools.partial(certify, "K"),
-                       functools.partial(certify, "H"))
+    return _pair_column(points, j, functools.partial(certify, "K"),
+                        functools.partial(certify, "H"))
 
 
-def verify_subword(n: int) -> SuiteReport:
+def _subword_job(points: list[IsotropicIndex], j: int) -> Share:
     def check(a, b):
         if billey_restrict_h(a, b) != restrict_h(a, b).value:
             return f"subword mismatch at ({a}; {b})"
 
-    return _pair_suite("subword", n, check)
+    return _pair_column(points, j, check)
 
 
+def _gkm_job(points: list[IsotropicIndex], k: int, corrupt: bool = False) -> Share:
+    """Row k of gkm: theory H then K, alpha = points[k mod 2^n]."""
+    t, i = divmod(k, len(points))
+    theory = "HK"[t]
+    alpha = points[i]
+    report = gkm_check(alpha, alpha.n, theory, corrupt=corrupt)
+    return Share(report.checks, [(t, i, f"{theory} alpha={alpha}: {msg}")
+                                 for msg in report.failures])
+
+
+# suite name -> one job of it, job(enumerate_isotropic(n), k) -> Share: beta
+# column k of a pair suite, or row k of gkm (which also takes ``corrupt``).
+# run_verification looks each job up here as it runs it, so bench/tracer.py's
+# wrappers of these entries time and count process 0's jobs.
 SUITES = {
-    "oracle": verify_oracle,
-    "gkm": verify_gkm,
-    "chern": verify_chern,
-    "positivity": verify_positivity,
-    "subword": verify_subword,
+    "oracle": _oracle_job,
+    "gkm": _gkm_job,
+    "chern": _chern_job,
+    "positivity": _positivity_job,
+    "subword": _subword_job,
 }
+
+# Estimated seconds of one job, scale * growth^(size - 15), so that the jobs
+# are dealt heaviest first; fit to cold single-process runs at n = 4, 5, 6 on
+# 2 shared Xeon cores.  A pair column's size is |sigma(beta)|.  A gkm row
+# reads the whole table, so its size is n(n+1)/2 + |sigma(alpha)| / 3.
+_JOB_COST = {"oracle": (1.0, 2.0), "chern": (1.3, 2.0), "positivity": (0.08, 1.6),
+             "subword": (0.01, 1.6), "gkm K": (0.006, 1.7), "gkm H": (0.001, 1.7)}
+
+
+def _job_cost(name: str, k: int, sizes: list[int]) -> float:
+    """Estimated seconds of job k of a suite; sizes[i] is |sigma(point i)|, at most n(n+1)/2."""
+    if name == "gkm":
+        t, i = divmod(k, len(sizes))
+        scale, growth = _JOB_COST["gkm " + "HK"[t]]
+        size = max(sizes) + sizes[i] / 3
+    else:
+        scale, growth = _JOB_COST[name]
+        size = sizes[k]
+    return scale * growth ** (size - 15)
 
 
 def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> list[SuiteReport]:
-    """Run the named suites; ``corrupt`` turns the GKM run into a negative control."""
+    """One report per named suite, in order; ``corrupt`` turns gkm into a negative control.
+
+    The jobs of every named suite, beta columns of the pair suites and
+    (theory, alpha) rows of gkm, go into one list, heaviest first, and one
+    ``forked_map`` deals them over one process per usable CPU, so each
+    process warms its caches once for all its jobs.  Each report is then
+    rebuilt in single-process order: alpha, beta, check for the pair suites,
+    theory then alpha for gkm.
+    """
     if corrupt and "gkm" not in suites:
         raise ValueError(f"corrupt perturbs the gkm suite only, not run in {list(suites)}")
-    reports = []
     for name in suites:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        if name == "gkm":
-            reports.append(verify_gkm(n, corrupt=corrupt))
-        else:
-            reports.append(SUITES[name](n))
+    points = enumerate_isotropic(n)
+    sizes = [sum(sigma(p)) for p in points]
+    jobs = [(p, name, k) for p, name in enumerate(suites)
+            for k in range((2 if name == "gkm" else 1) * len(points))]
+    jobs.sort(key=lambda job: -_job_cost(job[1], job[2], sizes))
+
+    def run(job):
+        _, name, k = job
+        share = (SUITES[name](points, k, corrupt) if name == "gkm"
+                 else SUITES[name](points, k))
+        return share.checks, share.failures
+
+    reports = [SuiteReport(name, n) for name in suites]
+    tagged = [[] for _ in suites]
+    for (p, _, _), (checks, failures) in zip(jobs, forked_map(run, jobs)):
+        reports[p].checks += checks
+        tagged[p].extend(failures)
+    for report, failures in zip(reports, tagged):
+        # stable: the failures of one gkm row share a tag and keep their order
+        report.failures = [f[-1] for f in sorted(failures, key=lambda f: f[:-1])]
     return reports
+
+
+def verify_oracle(n: int) -> SuiteReport:
+    return run_verification(n, ("oracle",))[0]
+
+
+def verify_gkm(n: int, corrupt: bool = False) -> SuiteReport:
+    return run_verification(n, ("gkm",), corrupt)[0]
+
+
+def verify_chern(n: int) -> SuiteReport:
+    return run_verification(n, ("chern",))[0]
+
+
+def verify_positivity(n: int) -> SuiteReport:
+    return run_verification(n, ("positivity",))[0]
+
+
+def verify_subword(n: int) -> SuiteReport:
+    return run_verification(n, ("subword",))[0]

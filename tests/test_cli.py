@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import lgrass
-from lgrass import IsotropicIndex, cli, oracles
+from lgrass import IsotropicIndex, cli, enumerate_isotropic, oracles, restriction
 from lgrass.cli import VERIFY_RANK_LIMITS, main, parse_index, parse_partition
 
 SRC = os.path.dirname(os.path.dirname(lgrass.__file__))
@@ -20,13 +20,25 @@ def run(capsys, *argv):
 
 
 def use_cpus(monkeypatch, count):
-    """Make the table workers see count usable CPUs."""
+    """Make forked_map, which deals the table and verify jobs, see count usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def raising_outside_parent(cpus, original):
+    """original, made to raise ValueError in a child, or anywhere on one process."""
+    parent = os.getpid()
+
+    def job(*args):
+        if cpus == 1 or os.getpid() != parent:
+            raise ValueError("injected job failure")
+        return original(*args)
+
+    return job
 
 
 def python(*argv):
@@ -167,10 +179,39 @@ class TestTableCommand:
             return column_values(beta, theory, alphas)
 
         monkeypatch.setattr(cli, "column_values", failing)
-        expected = ArithmeticError if where == "parent" else RuntimeError
-        with pytest.raises(expected):
+        # a child's exception is raised again in the parent as its own class
+        with pytest.raises(ArithmeticError, match="injected column failure"):
             main(["table", "--n", "3", "--theory", "K", "--out", "json"])
         assert capsys.readouterr().out == ""
+        assert_no_child_left()
+
+    def test_child_error_of_a_local_class_raises_runtime_error(self, capsys, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+        column_values = cli.column_values
+
+        class Local(Exception):  # no module attribute leads to it
+            pass
+
+        def failing(beta, theory, alphas):
+            if os.getpid() != parent:
+                raise Local("injected column failure")
+            return column_values(beta, theory, alphas)
+
+        monkeypatch.setattr(cli, "column_values", failing)
+        with pytest.raises(RuntimeError, match="Local"):
+            main(["table", "--n", "3", "--theory", "K", "--out", "json"])
+        assert capsys.readouterr().out == ""
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_value_error_in_any_process_exits_2(self, capsys, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(cli, "column_values", raising_outside_parent(cpus, cli.column_values))
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--n", "3", "--theory", "K", "--out", "json"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: injected job failure\n")
         assert_no_child_left()
 
     def test_stdout_pipe_matches_in_process_bytes(self, capsys):
@@ -180,8 +221,9 @@ class TestTableCommand:
         assert proc.stdout == text.encode()
 
     def test_import_starts_no_process_or_thread_machinery(self):
-        # -S: site's own imports would hide what lgrass.cli loads
-        proc = python("-S", "-c", "import sys, lgrass.cli; print(' '.join(sorted(sys.modules)))")
+        # -S: site's own imports would hide what lgrass loads
+        proc = python("-S", "-c", "import sys, lgrass.cli, lgrass.oracles, lgrass.workers; "
+                                  "print(' '.join(sorted(sys.modules)))")
         loaded = {name.partition(".")[0] for name in proc.stdout.decode().split()}
         assert "lgrass" in loaded
         assert not loaded & {"multiprocessing", "pickle", "threading", "concurrent"}
@@ -363,6 +405,101 @@ class TestVerifyCommand:
     def test_suite_order_is_one_list(self):
         assert list(VERIFY_RANK_LIMITS) == list(oracles.SUITES)
         assert [r.suite for r in oracles.run_verification(1)] == list(oracles.SUITES)
+
+
+class TestVerifyProcesses:
+    """verify deals its jobs over usable CPUs; the process count changes no byte."""
+
+    def same_on_1_2_3(self, capsys, monkeypatch, *argv):
+        runs = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            runs.append(run(capsys, "verify", *argv))
+            assert_no_child_left()
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        return runs[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_all_suites_n_le_3(self, capsys, monkeypatch, n, fmt):
+        code, _ = self.same_on_1_2_3(capsys, monkeypatch, "--n", str(n), "--suite", "all", *fmt)
+        assert code == 0
+
+    @pytest.mark.parametrize("suite", list(VERIFY_RANK_LIMITS))
+    def test_each_suite_n4(self, capsys, monkeypatch, suite):
+        code, _ = self.same_on_1_2_3(capsys, monkeypatch, "--n", "4", "--suite", suite, "--json")
+        assert code == 0
+
+    def test_corrupt_failures_keep_their_order(self, capsys, monkeypatch):
+        code, out = self.same_on_1_2_3(capsys, monkeypatch, "--n", "3", "--suite", "gkm",
+                                       "--corrupt", "--json")
+        assert code == 1
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "16f8df350c47c5bda508f530f207671b1ace9d154d53935057d8b7e0b584cccb")
+
+    @pytest.mark.parametrize("name", ["coordinate_weight_k", "coordinate_weight_h"])
+    def test_perturbed_positivity_failures_keep_their_order(self, monkeypatch, name):
+        weight = getattr(restriction, name)
+
+        def perturbed(a, b, n):
+            w = weight(a, b, n)
+            return w + 1 if (a, b) == (1, 6) else w
+
+        monkeypatch.setattr(restriction, name, perturbed)
+        points = enumerate_isotropic(3)
+        expected = []  # alpha-major, then beta, then K before H
+        for a in points:
+            for b in points:
+                for theory in ("K", "H"):
+                    try:
+                        restriction.positivity_certificate(a, b, theory)
+                    except restriction.CertificateError as exc:
+                        expected.append(f"{theory} ({a}; {b}): {exc}")
+        assert len({msg.split(";")[1] for msg in expected}) > 1  # failures at several betas
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            assert oracles.verify_positivity(3).failures == expected
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_value_error_in_any_process_exits_2(self, capsys, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setitem(oracles.SUITES, "chern",
+                            raising_outside_parent(cpus, oracles.SUITES["chern"]))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "3", "--suite", "all"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: injected job failure\n")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_other_error_in_any_process_is_raised_as_itself(self, capsys, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        parent = os.getpid()
+        real = oracles.chern_consistency
+
+        def failing(a, b):
+            if cpus == 1 or os.getpid() != parent:
+                raise ArithmeticError("injected check failure")
+            return real(a, b)
+
+        monkeypatch.setattr(oracles, "chern_consistency", failing)
+        with pytest.raises(ArithmeticError, match="injected check failure"):
+            main(["verify", "--n", "3", "--suite", "chern"])
+        assert capsys.readouterr().out == ""
+        assert_no_child_left()
+
+    def test_repeated_suite_keeps_one_report_each(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        reports = oracles.run_verification(2, ("gkm", "gkm"))
+        assert [(r.suite, r.checks, r.ok) for r in reports] == [("gkm", 48, True)] * 2
+        assert_no_child_left()
+        assert oracles.run_verification(2, ()) == []
+
+    def test_stdout_pipe_matches_in_process_bytes(self, capsys):
+        _, text = run(capsys, "verify", "--n", "3", "--suite", "all", "--json")
+        proc = python("-m", "lgrass.cli", "verify", "--n", "3", "--suite", "all", "--json")
+        assert proc.stdout == text.encode()
 
 
 class TestVerifyRankGuard:
