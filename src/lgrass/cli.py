@@ -26,22 +26,24 @@ from .workers import forked_map
 
 # Largest n per table theory, from measured cost on 2 shared Xeon cores, where
 # `table` builds and renders its columns in one process per usable CPU: a cold
-# `table --n 6 --theory K --out json` takes 5.4-7.1 s and 217 MB in its largest
-# process (8.5-11 s and 340 MB on one process; n=7 K was not run: n=6 already
-# holds 2.58 M monomials), and a cold `table --n 7 --theory H` 30-35 s and
-# 660 MB (44-60 s and 1.2 GB on one process), most of it formatting 10.2 M
-# monomials.
+# `table --n 6 --theory K --out json` takes 4.4-5.1 s and 218 MB in its largest
+# process (8.5-11 s and 340 MB on one process, before the one-pass Laurent
+# kernels; n=7 K was not run: n=6 already holds 2.58 M monomials, and one n=7 K
+# column peaks at 3.0 GB), and a cold `table --n 7 --theory H --out csv` 28 s
+# and 672 MB, most of it formatting 10.2 M monomials.
 TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # Largest n per verify suite, from cold CLI runs on 2 shared Xeon cores, where
 # `verify` deals its beta columns and gkm rows over one process per usable CPU
 # (time, then peak RSS of the largest process): `--n 6 --suite gkm` 34-37 s and
 # 312 MB (86 016 edge checks; every process builds all n=6 K and H columns),
 # `--suite positivity` 3.0-3.2 s and 22 MB (8 192 certificates), `--suite
-# subword` 1.0 s and 54 MB.  chern was not run at n=6 (n=5 takes about 3.5 s
-# on one process on 94 616 monomials, n=6 has 2.58 M).  `--n 5 --suite
-# oracle` takes 1.5-2.0 s and 32 MB, `--suite all` at n=5 4.2-4.3 s and 29 MB;
-# the oracle's face-sum DP over all n=6 pairs took 367-384 s on one process,
-# so it stays at n <= 5.  --suite all takes the minimum.
+# subword` 1.0 s and 54 MB.  `--n 5 --suite chern` takes 0.9-1.0 s and
+# 22 MB; all n=6 chern checks (`run_verification`, past this guard) took
+# 33-42 s and 164 MB, so chern stays at 5 until the CLI run is measured.
+# `--n 5 --suite oracle` takes 1.5-2.0 s and 32 MB, `--suite all` at n=5
+# 2.5-3.1 s and 29 MB; the oracle's face-sum DP over all n=6 pairs took
+# 367-384 s on one process, so it stays at n <= 5.  --suite all takes the
+# minimum.
 VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 5, "positivity": 6, "subword": 6}
 
 

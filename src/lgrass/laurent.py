@@ -12,11 +12,18 @@ significant: key = sum_i (e_i + HALF) << W(n - i).  Every field is then
 nonnegative, so int order on keys is lexicographic order on exponent
 vectors, and multiplying two monomials is one int add, k1 + k2 - bias(n).
 Exponents must satisfy |e| < HALF: the constructors raise OverflowError
-on a larger one, and so do ``*`` and ``**`` when the exponent bounds of
-their operands could sum past a field.  Each polynomial carries such a
-bound (the largest |e| it may hold), updated in O(1) by ``+``, ``*`` and
-``sum_of``.  ``+``, ``*`` and ``sum_of`` accumulate straight into one dict
-and drop zeros; the public API speaks exponent tuples.
+on a larger one, and so do ``*``, ``**`` and ``sum_of_products`` when the
+exponent bounds of a pair of operands could sum past a field.  Each
+polynomial carries such a bound (the largest |e| it may hold), updated in
+O(1) by ``+``, ``*`` and the sums.  The public API speaks exponent tuples;
+with W = 16 one struct call unpacks a key into its tuple.
+
+``+``, ``*``, ``sum_of`` and ``sum_of_products`` (a sum of products, which
+``*`` is with one pair) work in one pass: they accumulate straight into one
+dict and delete a key as soon as its coefficient reaches 0, so no stored
+coefficient is 0 and no second pass filters them.  A product takes the bias
+off its shorter operand, and the first of that operand's terms builds the
+dict in one comprehension.
 
 The divisibility tests needed for moment-graph checks use one exact
 substitution, t_i -> s * t_j^p with s in {1, -1, 0}: a root divides p when
@@ -25,15 +32,20 @@ those substitutions for one root, so a caller comparing many pairs of
 polynomials along one root parses it once.
 
 The lowest-degree (Chern) form of p is the lowest homogeneous part of
-p(e^{-u}) in u.  Since x_i = 1 - e^{-u_i} = u_i + O(u^2), it equals the
-lowest part of p(1 - x) in x, which needs no exponential series: t_i = 1 - x_i
-is expanded one variable at a time with exact binomial coefficients,
-(1 - x)^e = sum_k (-1)^k C(e, k) x^k for e >= 0 and sum_k C(m + k - 1, k) x^k
-for e = -m, dropping every term above a degree bound as soon as it appears.
+p(e^{-u}) in u.  Both x_i = 1 - e^{-u_i} and y_i = e^{u_i} - 1 are
+u_i + O(u^2), so it equals the lowest part of p with each t_i written as
+1 - x_i or as 1/(1 + y_i), which needs no exponential series.  Variables
+are expanded one at a time with exact binomial coefficients, and each picks
+the side whose rows are mostly finite: t^e = (1 - x)^e is a finite row for
+e >= 0 and t^e = (1 + y)^(-e) for e <= 0, so y is taken when more terms
+carry a negative exponent in t_i than a positive one.  Every term above a
+degree bound is dropped as soon as it appears.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
 from math import comb
 
 from .indexing import bar
@@ -62,9 +74,20 @@ def _pack(exps, n: int) -> int:
     return key
 
 
+@functools.lru_cache(maxsize=None)
+def _decoder(n: int):
+    """(bias(n), the unpack of n big-endian signed 16-bit fields); W = 16 makes them 'h'."""
+    return _bias(n), struct.Struct(f">{n}h").unpack
+
+
 def _unpack(key: int, n: int) -> tuple[int, ...]:
-    """The exponent vector of a key, first variable first."""
-    return tuple(((key >> s) & _MASK) - HALF for s in range(W * (n - 1), -1, -W))
+    """The exponent vector of a key, first variable first.
+
+    Flipping the top bit of each field turns e + HALF into e in two's
+    complement, so one struct call reads all n fields.
+    """
+    bias, unpack = _decoder(n)
+    return unpack((key ^ bias).to_bytes(2 * n, "big"))
 
 
 def _nonzero(terms: dict[int, int]) -> dict[int, int]:
@@ -135,11 +158,57 @@ class LaurentPolynomial:
             bound = max(bound, p._bound)
             if terms:
                 for k, c in p._terms.items():
-                    terms[k] = get(k, 0) + c
+                    c += get(k, 0)
+                    if c:
+                        terms[k] = c
+                    else:
+                        del terms[k]
             else:  # the first nonzero summand is copied whole
                 terms = dict(p._terms)
                 get = terms.get
-        return cls._of(n, _nonzero(terms), bound)
+        return cls._of(n, terms, bound)
+
+    @classmethod
+    def sum_of_products(cls, n: int, pairs) -> "LaurentPolynomial":
+        """The sum of a * b over an iterable of pairs (a, b), accumulated in one dict.
+
+        Raises as ``a * b`` does: ValueError on differing variable counts and
+        OverflowError when a pair's exponent bounds could sum past a field.
+        A key is deleted as soon as its coefficient reaches 0.
+        """
+        bias = _bias(n)
+        terms: dict[int, int] = {}
+        bound = 0
+        for a, b in pairs:
+            a._check(b)
+            if a.n != n:
+                raise ValueError(f"variable counts differ: {n} vs {a.n}")
+            pair_bound = a._bound + b._bound
+            if pair_bound >= HALF:
+                raise OverflowError(
+                    f"product exponents may reach {pair_bound}, past |e| < {HALF}")
+            bound = max(bound, pair_bound)
+            short, wide = a._terms, b._terms
+            if len(short) > len(wide):
+                short, wide = wide, short
+            # k1 + k2 - bias is the product's key; take the bias off the short side
+            items = iter(short.items())
+            if not terms:  # the first short term's products hold distinct keys
+                for k1, c1 in items:
+                    k1 -= bias
+                    terms = {k1 + k2: c1 * c2 for k2, c2 in wide.items()}
+                    break
+            get = terms.get
+            for k1, c1 in items:
+                k1 -= bias
+                for k2, c2 in wide.items():
+                    k = k1 + k2
+                    c = get(k, 0) + c1 * c2
+                    if c:
+                        terms[k] = c
+                    else:
+                        del terms[k]
+        return cls._of(n, terms, bound)
 
     @classmethod
     def var(cls, n: int, i: int, power: int = 1) -> "LaurentPolynomial":
@@ -186,23 +255,7 @@ class LaurentPolynomial:
         if isinstance(other, int):
             terms = {k: c * other for k, c in self._terms.items()} if other else {}
             return LaurentPolynomial._of(self.n, terms, self._bound)
-        self._check(other)
-        bound = self._bound + other._bound
-        if bound >= HALF:
-            raise OverflowError(f"product exponents may reach {bound}, past |e| < {HALF}")
-        left, right = self._terms, other._terms
-        if len(left) > len(right):
-            left, right = right, left
-        # k1 + k2 - bias is the product's key; take the bias off one side once
-        bias = _bias(self.n)
-        shifted = [(k - bias, c) for k, c in right.items()]
-        terms: dict[int, int] = {}
-        get = terms.get
-        for k1, c1 in left.items():
-            for k2, c2 in shifted:
-                k = k1 + k2
-                terms[k] = get(k, 0) + c1 * c2
-        return LaurentPolynomial._of(self.n, _nonzero(terms), bound)
+        return LaurentPolynomial.sum_of_products(self.n, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -323,8 +376,8 @@ class LaurentPolynomial:
         parts = []
         for key in sorted(terms):
             head = memo.get(key)
-            if head is None:
-                head = memo[key] = '{"e": [%s], "c": ' % ", ".join(map(str, _unpack(key, n)))
+            if head is None:  # the str of a list of ints is its JSON text
+                head = memo[key] = '{"e": %s, "c": ' % list(_unpack(key, n))
             parts.append(f"{head}{terms[key]}}}")
         return '{"n": %d, "terms": [%s]}' % (n, ", ".join(parts))
 
@@ -392,20 +445,22 @@ def bar_var_h(label: int, n: int) -> LaurentPolynomial:
     return -LaurentPolynomial.var(n, bar(label, n))
 
 
-def _binomial_row(e: int, order: int) -> list[int]:
-    """Coefficients of x^0..x^order in (1 - x)^e, exact integers for any e."""
+def _binomial_row(e: int, order: int, s: int) -> list[int]:
+    """Coefficients of z^0..z^order in (1 + s z)^e, s = +-1, exact for any integer e."""
     if e >= 0:
-        return [(-1) ** k * comb(e, k) for k in range(min(e, order) + 1)]
-    return [comb(k - e - 1, k) for k in range(order + 1)]
+        return [s ** k * comb(e, k) for k in range(min(e, order) + 1)]
+    return [(-s) ** k * comb(k - e - 1, k) for k in range(order + 1)]
 
 
 def _lowest_part(p: LaurentPolynomial, order: int):
-    """Lowest nonzero homogeneous part of p(1 - x) up to x-degree order, or None.
+    """Lowest nonzero homogeneous part of p in x, y up to degree order, or None.
 
-    Variable i is expanded at step i: fields before i of a key hold
-    x-exponents, the rest still t-exponents, so terms sharing both merge.
-    One more field above the n exponent fields holds the x-degree so far,
-    and terms of x-degree above ``order`` are dropped as soon as they appear.
+    Variable i is expanded at step i, as t_i = 1 - x_i, or as
+    1/t_i = 1 + y_i when more terms then carry a negative exponent in it than
+    a positive one, so that most of its rows are finite.  Fields before i of
+    a key hold x- or y-exponents, the rest still t-exponents, so terms sharing
+    both merge.  One more field above the n exponent fields holds the degree
+    so far, and terms of degree above ``order`` are dropped as they appear.
     """
     if order >= HALF:
         raise OverflowError(f"x-degree bound {order} past |e| < {HALF}")
@@ -414,16 +469,18 @@ def _lowest_part(p: LaurentPolynomial, order: int):
     terms = p._terms
     for i in range(n):
         shift = W * (n - 1 - i)
-        step = (1 << shift) + (1 << top)  # x_i^1, and one more x-degree
+        step = (1 << shift) + (1 << top)  # x_i^1 or y_i^1, and one more degree
+        fields = [(key >> shift) & _MASK for key in terms]
+        # t^e = (1 - x)^e, or t^e = (1 + y)^(-e)
+        f = -1 if sum(v < HALF for v in fields) > sum(v > HALF for v in fields) else 1
         rows: dict[int, list[int]] = {}
         acc: dict[int, int] = {}
         get = acc.get
-        for key, c in terms.items():
-            e = ((key >> shift) & _MASK) - HALF
-            row = rows.get(e)
+        for (key, c), v in zip(terms.items(), fields):
+            row = rows.get(v)
             if row is None:
-                row = rows[e] = _binomial_row(e, order)
-            x = key - (e << shift)
+                row = rows[v] = _binomial_row(f * (v - HALF), order, -f)
+            x = key - ((v - HALF) << shift)
             for b in row[:order + 1 - (key >> top)]:
                 acc[x] = get(x, 0) + c * b
                 x += step
@@ -439,12 +496,14 @@ def _lowest_part(p: LaurentPolynomial, order: int):
 def lowest_degree_form(p: LaurentPolynomial, order: int | None = None) -> LaurentPolynomial:
     """Lowest-order homogeneous term of p after t_i -> exp(-u_i), in t-variables.
 
-    Computed as the lowest part of p(1 - x) in x, with x_i written as t_i.
-    ``order`` is a guess at that degree; if every part up to it vanishes,
-    the expansion runs once more up to the total degree of t^m p, where the
-    monomial t^m clears the negative exponents.  A nonzero polynomial keeps
-    its total degree under t -> 1 - x, and t^m = 1 + O(x) leaves the lowest
-    part alone, so that degree bounds the one sought.
+    Computed as the lowest part of p in x_i = 1 - t_i or y_i = 1/t_i - 1,
+    chosen per variable, with x_i and y_i written as t_i: both are u_i + O(u^2),
+    so either choice gives the same lowest part.  ``order`` is a guess at its
+    degree; if every part up to it vanishes, the expansion runs once more up
+    to the total degree of t^m p, where the monomial t^m clears the negative
+    exponents.  t^m = 1 + O(u) leaves the lowest part alone, and the
+    polynomial t^m p keeps its total degree under t -> 1 - x, so that degree
+    bounds the one sought.
     """
     if p.is_zero():
         return p

@@ -20,7 +20,10 @@ since 1 + (w - 1) = w those 2^(m - lo) sets sum to
 
   (w_m - 1) * prod_{lo <= x < m} w_x,
 
-so the K sum is a sum over fillings of products of these box factors.
+so the K sum is a sum over fillings of products of these box factors.  The
+DP multiplies 1 - w_m in place of w_m - 1: a filling of lam = sigma(alpha)
+has |lam| = l(alpha) boxes, so its product carries the sign (-1)^{l(alpha)}
+by itself.
 ``RestrictionResult.term_count`` still counts the tableaux of the literal
 sum: set-valued tableaux in K (the sum over fillings of prod 2^(m - lo)),
 single-entry tableaux in H.
@@ -195,13 +198,14 @@ def _restriction_column(beta: IsotropicIndex, theory: str
     box maxima of row r) and holds the summed products of the box factors of
     the rows so far, and the number of tableaux they stand for.  A next row
     is one of ``_rows_below``; a box (lo, m, d) contributes
-    (w_m - 1) * prod_{lo<=x<m} w_x over 2^(m - lo) entry sets in K and the
-    linear form of m (lo = m) in H.  Parents reaching one (prefix, row) key
-    with the same lower bounds are summed before their shared row factor is
-    multiplied in, and every key sums all of its parents.  The value at lam
-    is the sum of the states with prefix lam, signed (-1)^{|lam|} in K.  The
-    DP never looks at alpha, so it runs once per beta; the keys are exactly
-    the shapes lam contained in sigma(beta).
+    (1 - w_m) * prod_{lo<=x<m} w_x in K, minus the sum over its 2^(m - lo)
+    entry sets, so that the states of lam carry the sign (-1)^{|lam|}; in H
+    it contributes the linear form of m (lo = m).  Parents reaching one
+    (prefix, row) key with the same lower bounds are summed, and each key's
+    (summed parents, row factor) pairs go through one ``sum_of_products``.
+    The value at lam is the sum of the states with prefix lam.  The DP never
+    looks at alpha, so it runs once per beta; the keys are exactly the
+    shapes lam contained in sigma(beta).
     """
     n = beta.n
     mu = sigma(beta)
@@ -218,7 +222,7 @@ def _restriction_column(beta: IsotropicIndex, theory: str
             lo, m = boxes[d]
             *lower, top = entry_cut_pairs(((x, x + d) for x in range(lo, m + 1)), beta)
             if set_valued:
-                f = coordinate_weight_k(*top, n) - 1
+                f = 1 - coordinate_weight_k(*top, n)
                 for a, b in lower:
                     f = f * coordinate_weight_k(a, b, n)
             else:
@@ -239,14 +243,16 @@ def _restriction_column(beta: IsotropicIndex, theory: str
                 key = (prefix + (len(row),), row, los if set_valued else row)
                 groups.setdefault(key, []).append(state)
         for shape, states in shapes.items():
-            value, count = _summed(n, states)
-            column[shape] = (-value if set_valued and sum(shape) % 2 else value, count)
-        merged: dict[tuple, list[tuple[LaurentPolynomial, int]]] = {}
+            column[shape] = _summed(n, states)
+        merged: dict[tuple, list[tuple[LaurentPolynomial, LaurentPolynomial]]] = {}
+        counts: dict[tuple, int] = {}
         for (shape, row, los), parents in groups.items():
             value, count = _summed(n, parents)
-            merged.setdefault((shape, row), []).append(
-                (value * row_factor(tuple(zip(los, row))), count << (sum(row) - sum(los))))
-        layer = {key: _summed(n, parts) for key, parts in merged.items()}
+            key = (shape, row)
+            merged.setdefault(key, []).append((value, row_factor(tuple(zip(los, row)))))
+            counts[key] = counts.get(key, 0) + (count << (sum(row) - sum(los)))
+        layer = {key: (LaurentPolynomial.sum_of_products(n, pairs), counts[key])
+                 for key, pairs in merged.items()}
     return column
 
 

@@ -9,7 +9,6 @@ confines its image boxes (x, z(x)) to the shifted diagram of mu.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterator, NamedTuple
 
 from .indexing import check_strict, transpose
@@ -200,12 +199,6 @@ def _enumerate(lam, mu, set_valued: bool) -> tuple[SetValuedShiftedTableau, ...]
     return tuple(results)
 
 
-# --suite all reuses the union oracle's single-entry tableaux in positivity H;
-# no set-valued enumeration is asked for twice, so those are not kept
-_enumerate_young = functools.lru_cache(maxsize=None)(
-    functools.partial(_enumerate, set_valued=False))
-
-
 def enumerate_ssvt(lam, mu) -> list[SetValuedShiftedTableau]:
     """All semistandard set-valued shifted tableaux of shape lam on mu.
 
@@ -217,4 +210,4 @@ def enumerate_ssvt(lam, mu) -> list[SetValuedShiftedTableau]:
 
 def enumerate_ssyt(lam, mu) -> list[SetValuedShiftedTableau]:
     """The single-entry (Young) subset of ``enumerate_ssvt``."""
-    return list(_enumerate_young(check_strict(lam), check_strict(mu)))
+    return list(_enumerate(check_strict(lam), check_strict(mu), False))

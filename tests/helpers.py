@@ -4,6 +4,9 @@ Nothing here shares code with the library's enumeration or verification
 paths: tableaux are generated by filtering the full assignment space with
 the definitions, partitions are handled with plain tuples, and the
 lowest-degree form is taken from the exp series rather than from (1 - x).
+``x_expansion_lowest_form`` is the reference for the library's per-variable
+choice between t = 1 - x and 1/t = 1 + y: it expands every variable as
+t = 1 - x, on exponent tuples.
 The subword DP has its reference here too: ``bfs_weyl_lengths`` builds the
 whole signed-permutation group by BFS, and ``per_pair_billey`` runs the DP on
 full group elements by right multiplication, separately for each
@@ -18,6 +21,7 @@ the Stanley-Reisner face-sum DP.
 
 import functools
 import itertools
+from math import comb
 
 from lgrass import (LaurentPolynomial, SetValuedShiftedTableau, coordinate_weight_k,
                     enumerate_ssyt, length, sigma)
@@ -131,6 +135,43 @@ def exp_series_lowest_form(p, order=None):
         if d > 512:
             raise RuntimeError(f"no nonzero component up to order {d}")
         d *= 2
+
+
+def _x_lowest_part(p, order):
+    """Lowest nonzero homogeneous part of p(1 - x) up to x-degree order, or None."""
+    n = p.n
+    terms = {(0, e): c for e, c in p.terms()}  # (x-degree, exponents) -> coefficient
+    for i in range(n):
+        acc = {}
+        for (d, e), c in terms.items():
+            k_max = order - d if e[i] < 0 else min(e[i], order - d)
+            for k in range(k_max + 1):
+                # the coefficient of x^k in (1 - x)^e, also for e < 0
+                b = (-1) ** k * comb(e[i], k) if e[i] >= 0 else comb(k - e[i] - 1, k)
+                key = (d + k, e[:i] + (k,) + e[i + 1:])
+                acc[key] = acc.get(key, 0) + c * b
+        terms = {key: c for key, c in acc.items() if c}
+    if not terms:
+        return None
+    low = min(d for d, _ in terms)
+    return LaurentPolynomial(n, {e: c for (d, e), c in terms.items() if d == low})
+
+
+def x_expansion_lowest_form(p, order=None):
+    """Reference lowest-degree form: t_i = 1 - x_i for every variable.
+
+    Tries ``order`` first and otherwise the total degree of t^m p, where the
+    monomial t^m clears the negative exponents, as ``lowest_degree_form`` does.
+    """
+    if p.is_zero():
+        return p
+    if order is not None:
+        low = _x_lowest_part(p, max(order, 0))
+        if low is not None:
+            return low
+    exps = [e for e, _ in p.terms()]
+    shift = sum(min(0, *col) for col in zip(*exps))
+    return _x_lowest_part(p, max(map(sum, exps)) - shift)
 
 
 @functools.lru_cache(maxsize=None)

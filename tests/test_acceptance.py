@@ -15,7 +15,6 @@ from lgrass import (ChartIndexSet, IsotropicIndex, LaurentPolynomial,
                     restrict_h, restrict_k, sigma, subset_to_family,
                     subset_to_tableau, tableau_to_subset)
 import lgrass.restriction
-import lgrass.tableaux
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
@@ -23,7 +22,6 @@ BETA = IsotropicIndex(3, (3, 5, 6))
 
 def _cold_caches():
     lgrass.restriction._restriction_column.cache_clear()
-    lgrass.tableaux._enumerate_young.cache_clear()
 
 
 def _report(num, text):

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 import lgrass
 from lgrass import (LaurentPolynomial, bar_var_h, bar_var_k, divisible_by_k_root,
                     divisible_by_root_h, lowest_degree_form)
-from lgrass.laurent import HALF, root_images
+from lgrass.laurent import HALF, _pack, _unpack, root_images
 from lgrass.restriction import positive_roots
 
-from helpers import exp_series_lowest_form
+from helpers import exp_series_lowest_form, x_expansion_lowest_form
 
 
 def P(n, terms):
@@ -93,6 +93,88 @@ class TestArithmetic:
         p = P(3, {(0, 0, 0): 1, (-2, 0, 0): 1, (0, -1, 1): -1})
         assert [t["e"] for t in p.to_json()["terms"]] == [
             [-2, 0, 0], [0, -1, 1], [0, 0, 0]]
+
+
+def no_zero_coefficient(p):
+    return all(p._terms.values())
+
+
+def raised(call):
+    """(type, message) of the exception call raises."""
+    with pytest.raises((ValueError, OverflowError)) as info:
+        call()
+    return info.type, str(info.value)
+
+
+class TestOnePassKernels:
+    """``*``, ``sum_of`` and ``sum_of_products`` drop zeros as they accumulate."""
+
+    @settings(max_examples=80)
+    @given(st.lists(st.tuples(polys, polys), max_size=5))
+    def test_sum_of_products_matches_sum_of_mul(self, pairs):
+        got = LaurentPolynomial.sum_of_products(2, pairs)
+        assert got == LaurentPolynomial.sum_of(2, (a * b for a, b in pairs))
+        assert no_zero_coefficient(got)
+
+    @pytest.mark.parametrize("pairs", [
+        [],
+        [(LaurentPolynomial.zero(2), P(2, {(1, 0): 2}))],
+        [(P(2, {(1, 0): 2, (0, 1): 1}), LaurentPolynomial.zero(2)),
+         (P(2, {(0, 0): 3}), P(2, {(1, -1): 1}))],
+        [(P(2, {(1, 0): 1, (0, 0): -1}), P(2, {(0, 1): 1})),
+         (P(2, {(1, 0): -1, (0, 0): 1}), P(2, {(0, 1): 1}))],
+        # cancels to zero, then a later pair brings one of the deleted keys back
+        [(P(2, {(1, 0): 1}), P(2, {(0, 1): 1})), (P(2, {(1, 0): -1}), P(2, {(0, 1): 1})),
+         (P(2, {(0, 1): 1}), P(2, {(1, 0): 4, (1, -1): 1}))],
+    ], ids=["empty", "zero-operand", "zero-then-more", "cancel-to-zero", "cancel-then-reappear"])
+    def test_sum_of_products_named_cases(self, pairs):
+        got = LaurentPolynomial.sum_of_products(2, pairs)
+        want = LaurentPolynomial.zero(2)
+        for a, b in pairs:
+            want = want + a * b
+        assert got == want and no_zero_coefficient(got)
+
+    def test_sum_of_products_raises_as_mul(self):
+        two, three = LaurentPolynomial.one(2), LaurentPolynomial.one(3)
+        big = LaurentPolynomial.var(2, 2, HALF - 1)
+        t = LaurentPolynomial.var(2, 1)
+        for a, b in [(two, three), (three, two), (big, t), (t, big), (big - big, t)]:
+            want = raised(lambda: a * b)
+            assert raised(lambda: LaurentPolynomial.sum_of_products(2, [(a, b)])) == want
+            # the same error when the bad pair comes after a good one
+            assert raised(lambda: LaurentPolynomial.sum_of_products(2, [(t, t), (a, b)])) == want
+        # both operands in the wrong variable count: as sum_of of their product
+        assert (raised(lambda: LaurentPolynomial.sum_of_products(2, [(three, three)]))
+                == raised(lambda: LaurentPolynomial.sum_of(2, [three * three])))
+
+    def test_sum_of_products_bound_is_the_largest_pair_bound(self):
+        t = LaurentPolynomial.var(2, 1)
+        p = LaurentPolynomial.sum_of_products(2, [(t, t), (LaurentPolynomial.var(2, 2, 5), t)])
+        with pytest.raises(OverflowError):
+            p * LaurentPolynomial.var(2, 1, HALF - 6)
+        assert (p * LaurentPolynomial.var(2, 1, HALF - 7)).coefficient((HALF - 5, 0)) == 1
+
+    @settings(max_examples=80)
+    @given(polys, polys, st.lists(polys, max_size=5))
+    def test_no_zero_coefficient_stored(self, a, b, ps):
+        assert no_zero_coefficient(a * b)
+        assert no_zero_coefficient(a * b - b * a)
+        assert no_zero_coefficient(LaurentPolynomial.sum_of(2, ps + [-p for p in ps] + [a]))
+        assert no_zero_coefficient(LaurentPolynomial.sum_of_products(2, [(a, b), (-a, b), (b, a)]))
+
+    def test_cross_terms_cancel(self):
+        t = LaurentPolynomial.var(1, 1)
+        p = (t - 1) * (t + 1)
+        assert p._terms and no_zero_coefficient(p)
+        assert p.terms() == [((0,), -1), ((2,), 1)]
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_unpack_round_trip(self, n):
+        for v in (HALF - 1, -(HALF - 1), 0):
+            e = (v,) * n
+            assert _unpack(_pack(e, n), n) == e
+        mixed = tuple((HALF - 1, -(HALF - 1), 0, 1, -1)[i % 5] for i in range(n))
+        assert _unpack(_pack(mixed, n), n) == mixed
 
 
 @st.composite
@@ -247,6 +329,29 @@ class TestLowestDegreeForm:
             exps, st.integers(min_value=-2, max_value=2), max_size=2)))
         order = data.draw(st.none() | st.integers(min_value=0, max_value=6))
         assert lowest_degree_form(p, order) == exp_series_lowest_form(p, order)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_x_expansion(self, data):
+        """The per-variable choice of t = 1 - x or 1/t = 1 + y gives the x-only result."""
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        # mostly negative exponents, so that 1/t = 1 + y is chosen for most variables
+        exps = st.tuples(*([st.integers(min_value=-4, max_value=2)] * n))
+        p = LaurentPolynomial(n, data.draw(st.dictionaries(
+            exps, st.integers(min_value=-5, max_value=5), max_size=6)))
+        for i, s in data.draw(st.lists(st.tuples(st.integers(1, n), st.sampled_from((1, -1))),
+                                       max_size=4)):
+            p = p * (1 - LaurentPolynomial.var(n, i, s))
+        # order 0 takes the fallback whenever the lowest part lies above degree 0
+        order = data.draw(st.none() | st.integers(min_value=0, max_value=6))
+        assert lowest_degree_form(p, order) == x_expansion_lowest_form(p, order)
+
+    def test_fallback_with_inverse_expansion(self):
+        # 1/t1 - 1 is y1 exactly: the lowest part is y1^3, found only past order 1
+        p = (var(1, power=-1) - 1) ** 3 * var(2, power=-2)
+        assert lowest_degree_form(p, order=1) == var(1) ** 3
+        assert x_expansion_lowest_form(p, order=1) == var(1) ** 3
 
 
 class TestDivisibility:

@@ -12,7 +12,8 @@ from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, Positiv
                     restrict, restrict_h, restrict_k, run_verification)
 from lgrass import oracles, restriction
 
-from helpers import bfs_weyl_lengths, inclusion_exclusion_union_class, per_pair_billey
+from helpers import (bfs_weyl_lengths, inclusion_exclusion_union_class, per_pair_billey,
+                     x_expansion_lowest_form)
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
@@ -350,6 +351,18 @@ class TestChern:
         for a in enumerate_isotropic(4):
             for b in enumerate_isotropic(4):
                 assert chern_consistency(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lowest_forms_match_x_expansion(self, n):
+        """Every K value at rank n, at the suite's order guess and on the fallback path."""
+        points = enumerate_isotropic(n)
+        for a in points:
+            for b in points:
+                k = restrict_k(a, b).value
+                l = length(a)
+                assert lowest_degree_form(k, order=l) == x_expansion_lowest_form(k, order=l)
+                if l:  # every part up to degree 0 vanishes, so this takes the fallback
+                    assert lowest_degree_form(k, order=0) == x_expansion_lowest_form(k, order=0)
 
     def test_perturbed_restriction_reported_once(self, monkeypatch):
         points = enumerate_isotropic(3)
