@@ -74,7 +74,7 @@ def chart_matrix_pattern(beta: IsotropicIndex) -> list[list[tuple]]:
                 continue
             a = r
             pair = (a, b) if (a, b) in index_set else (bar(b, n), bar(a, n))
-            sign = 1 if (r in in_beta or r > n) else -1
+            sign = 1 if r > n else -1
             row.append(("y", sign, pair[0], pair[1]))
         rows.append(row)
     return rows

@@ -37,14 +37,12 @@ TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # (time, then peak RSS of the largest process): `--n 6 --suite gkm` 34-37 s and
 # 312 MB (86 016 edge checks; every process builds all n=6 K and H columns),
 # `--suite positivity` 3.0-3.2 s and 22 MB (8 192 certificates), `--suite
-# subword` 1.0 s and 54 MB.  `--n 5 --suite chern` takes 0.9-1.0 s and
-# 22 MB; all n=6 chern checks (`run_verification`, past this guard) took
-# 33-42 s and 164 MB, so chern stays at 5 until the CLI run is measured.
-# `--n 5 --suite oracle` takes 1.5-2.0 s and 32 MB, `--suite all` at n=5
-# 2.5-3.1 s and 29 MB; the oracle's face-sum DP over all n=6 pairs took
-# 367-384 s on one process, so it stays at n <= 5.  --suite all takes the
-# minimum.
-VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 5, "positivity": 6, "subword": 6}
+# subword` 1.0 s and 54 MB, `--suite chern` 27.8-33.6 s and 165 MB (4 096
+# checks, 3 runs).  `--n 5 --suite oracle` takes 1.5-2.0 s and 32 MB,
+# `--suite all` at n=5 2.5-3.1 s and 29 MB; the oracle's face-sum DP over all
+# n=6 pairs took 367-384 s on one process, so it stays at n <= 5.  --suite
+# all takes the minimum, so it stays at 5 because of oracle.
+VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 6, "positivity": 6, "subword": 6}
 
 
 def parse_index(text: str, n: int) -> IsotropicIndex:

@@ -18,12 +18,12 @@ polynomial carries such a bound (the largest |e| it may hold), updated in
 O(1) by ``+``, ``*`` and the sums.  The public API speaks exponent tuples;
 with W = 16 one struct call unpacks a key into its tuple.
 
-``+``, ``*``, ``sum_of`` and ``sum_of_products`` (a sum of products, which
-``*`` is with one pair) work in one pass: they accumulate straight into one
-dict and delete a key as soon as its coefficient reaches 0, so no stored
-coefficient is 0 and no second pass filters them.  A product takes the bias
-off its shorter operand, and the first of that operand's terms builds the
-dict in one comprehension.
+``sum_of`` (which ``+`` is with two summands) and ``sum_of_products`` (a sum
+of products, which ``*`` is with one pair) work in one pass: they accumulate
+straight into one dict and delete a key as soon as its coefficient reaches
+0, so no stored coefficient is 0 and no second pass filters them.  A
+product takes the bias off its shorter operand, and the first of that
+operand's terms builds the dict in one comprehension.
 
 The divisibility tests needed for moment-graph checks use one exact
 substitution, t_i -> s * t_j^p with s in {1, -1, 0}: a root divides p when
@@ -228,16 +228,7 @@ class LaurentPolynomial:
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPolynomial.constant(self.n, other)
-        self._check(other)
-        terms = dict(self._terms)
-        get = terms.get
-        for k, c in other._terms.items():
-            c += get(k, 0)
-            if c:
-                terms[k] = c
-            else:
-                del terms[k]
-        return LaurentPolynomial._of(self.n, terms, max(self._bound, other._bound))
+        return LaurentPolynomial.sum_of(self.n, (self, other))
 
     __radd__ = __add__
 

@@ -162,10 +162,14 @@ def _root_at(a: int, c: int, n: int) -> PositiveRoot:
     return PositiveRoot("diff", a, c)
 
 
-def _check_ranks(alpha: IsotropicIndex, beta: IsotropicIndex) -> int:
-    if alpha.n != beta.n:
-        raise ValueError(f"rank mismatch: {alpha.n} vs {beta.n}")
-    return alpha.n
+def _check_args(theory: str, beta: IsotropicIndex, *alphas: IsotropicIndex) -> int:
+    """beta's rank, after checking that theory is "K" or "H" and that every alpha has it."""
+    if theory not in ("K", "H"):
+        raise ValueError(f"theory must be 'K' or 'H', got {theory!r}")
+    for alpha in alphas:
+        if alpha.n != beta.n:
+            raise ValueError(f"rank mismatch: {alpha.n} vs {beta.n}")
+    return beta.n
 
 
 def _rows_below(prev: tuple[int, ...], caps: tuple[int, ...]
@@ -267,9 +271,7 @@ def _summed(n: int, states: list[tuple[LaurentPolynomial, int]]
 
 def restrict(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str) -> RestrictionResult:
     """Restriction of the Schubert class of alpha at beta, read from beta's column."""
-    if theory not in ("K", "H"):
-        raise ValueError(f"theory must be 'K' or 'H', got {theory!r}")
-    _check_ranks(alpha, beta)
+    _check_args(theory, beta, alpha)
     value, count = _column_entry(_restriction_column(beta, theory), alpha)
     return RestrictionResult(alpha, beta, theory, value, count)
 
@@ -280,6 +282,8 @@ def column_values(beta: IsotropicIndex, theory: str, alphas) -> list[LaurentPoly
     For a caller that visits each beta once, such as ``table``: the column is
     built by ``_restriction_column``'s DP, bypassing its cache, and freed on return.
     """
+    alphas = list(alphas)
+    _check_args(theory, beta, *alphas)
     column = _restriction_column.__wrapped__(beta, theory)
     return [_column_entry(column, alpha)[0] for alpha in alphas]
 
@@ -316,7 +320,7 @@ def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex, theory: 
     a caller certifying many alphas at one (beta, theory) passes one dict to
     all of them, and without it every call starts afresh.
     """
-    n = _check_ranks(alpha, beta)
+    n = _check_args(theory, beta, alpha)
     lam, mu = sigma(alpha), sigma(beta)
     tableaux = enumerate_ssvt(lam, mu) if theory == "K" else enumerate_ssyt(lam, mu)
     if checked is None:

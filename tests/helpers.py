@@ -10,9 +10,10 @@ t = 1 - x, on exponent tuples.
 The subword DP has its reference here too: ``bfs_weyl_lengths`` builds the
 whole signed-permutation group by BFS, and ``per_pair_billey`` runs the DP on
 full group elements by right multiplication, separately for each
-(alpha, beta).  It reuses the library's signed permutations, generators,
-simple roots and reduced words, but not its coset-representative lengths
-or its right-to-left DP on the 2^n minimal coset representatives.
+(alpha, beta).  Both compose windows with ``window_product`` here and act on
+linear forms by substituting t_k -> w(t_k); of the library they use only the
+reduced word, not its coset-representative lengths, its prefix roots or its
+right-to-left DP on the 2^n minimal coset representatives.
 ``inclusion_exclusion_union_class`` is the reference for the union oracle: it
 takes the same tableaux and cut sets as ``kclass_union_oracle`` but sums the
 union's K-class by inclusion-exclusion over subsets of components instead of
@@ -26,8 +27,7 @@ from math import comb
 from lgrass import (LaurentPolynomial, SetValuedShiftedTableau, coordinate_weight_k,
                     enumerate_ssyt, length, sigma)
 from lgrass.chart import tableau_cut_pairs
-from lgrass.oracles import (SignedPermutation, coset_representative, generators,
-                            reduced_word, simple_root)
+from lgrass.oracles import reduced_word
 
 
 def brute_force_tableaux(lam, mu, set_valued=True):
@@ -174,19 +174,38 @@ def x_expansion_lowest_form(p, order=None):
     return _x_lowest_part(p, max(map(sum, exps)) - shift)
 
 
+def window_product(u, v):
+    """The window of the signed permutation u v: (u v)(k) = u(v(k)), u(-k) = -u(k)."""
+    return tuple(u[k - 1] if k > 0 else -u[-k - 1] for k in v)
+
+
+def window_generators(n):
+    """The windows of s_1..s_{n-1}, the adjacent transpositions, and s_n = (1, ..., n-1, -n)."""
+    ident = tuple(range(1, n + 1))
+    return [ident[:i - 1] + (i + 1, i) + ident[i + 1:] for i in range(1, n)] + [
+        ident[:-1] + (-n,)]
+
+
+def _image(w, form):
+    """The linear form {k: c} (sum of c t_k) under t_k -> w(t_k) = sgn(w(k)) t_|w(k)|."""
+    n = len(w)
+    return sum((c * (1 if w[k - 1] > 0 else -1) * LaurentPolynomial.var(n, abs(w[k - 1]))
+                for k, c in form.items()), LaurentPolynomial.zero(n))
+
+
 @functools.lru_cache(maxsize=None)
 def bfs_weyl_lengths(n):
     """Window -> length for all 2^n n! signed permutations, by BFS over s_1..s_n."""
-    gens = generators(n)
-    frontier = [SignedPermutation.identity(n)]
-    table = {frontier[0].window: 0}
+    gens = window_generators(n)
+    frontier = [tuple(range(1, n + 1))]
+    table = {frontier[0]: 0}
     while frontier:
         nxt = []
         for w in frontier:
             for g in gens:
-                w2 = w * g
-                if w2.window not in table:
-                    table[w2.window] = table[w.window] + 1
+                w2 = window_product(w, g)
+                if w2 not in table:
+                    table[w2] = table[w] + 1
                     nxt.append(w2)
         frontier = nxt
     return table
@@ -195,33 +214,31 @@ def bfs_weyl_lengths(n):
 def per_pair_billey(alpha, beta):
     """Subword-formula cohomology restriction by one DP for this (alpha, beta).
 
-    Builds a SignedPermutation per DP step and reads the state at the alpha
+    Builds a window product per DP step and reads the state at the alpha
     representative; signed by (-1)^{l(alpha)} like ``billey_restrict_h``.
     """
     n = alpha.n
     table = bfs_weyl_lengths(n)
-    gens = generators(n)
-    wa = coset_representative(alpha)
-    wb = coset_representative(beta)
-    word = reduced_word(wb)
-    prefix = SignedPermutation.identity(n)
+    gens = window_generators(n)
+    word = reduced_word(beta.signed)
+    prefix = tuple(range(1, n + 1))
     prefix_roots = []
-    for gi in word:
-        prefix_roots.append(prefix.apply_form(simple_root(gi, n)))
-        prefix = prefix * gens[gi - 1]
-    assert prefix == wb
+    for gi in word:  # the simple root t_i - t_{i+1}, or 2 t_n
+        prefix_roots.append(_image(prefix, {gi: 1, gi + 1: -1} if gi < n else {n: 2}))
+        prefix = window_product(prefix, gens[gi - 1])
+    assert prefix == beta.signed
 
-    states = {SignedPermutation.identity(n): LaurentPolynomial.one(n)}
+    states = {tuple(range(1, n + 1)): LaurentPolynomial.one(n)}
     for gi, root in zip(word, prefix_roots):
         updates = {}
         for u, val in states.items():
-            u2 = u * gens[gi - 1]
-            if table[u2.window] == table[u.window] + 1:
+            u2 = window_product(u, gens[gi - 1])
+            if table[u2] == table[u] + 1:
                 add = val * root
                 updates[u2] = updates.get(u2, LaurentPolynomial.zero(n)) + add
         for u2, add in updates.items():
             states[u2] = states.get(u2, LaurentPolynomial.zero(n)) + add
-    value = states.get(wa, LaurentPolynomial.zero(n))
+    value = states.get(alpha.signed, LaurentPolynomial.zero(n))
     return -value if length(alpha) % 2 else value
 
 

@@ -458,7 +458,7 @@ class TestVerifyProcesses:
         assert len({msg.split(";")[1] for msg in expected}) > 1  # failures at several betas
         for cpus in (1, 2, 3):
             use_cpus(monkeypatch, cpus)
-            assert oracles.verify_positivity(3).failures == expected
+            assert oracles.run_verification(3, ("positivity",))[0].failures == expected
             assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -522,13 +522,7 @@ class TestVerifyRankGuard:
             main(["verify", "--n", "6", "--suite", "oracle"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("suite", ["chern"])
-    def test_n6_exit_2(self, suite):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "6", "--suite", suite])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("suite", ["gkm", "positivity"])
+    @pytest.mark.parametrize("suite", ["gkm", "chern", "positivity"])
     def test_n7_exit_2(self, suite):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "7", "--suite", suite])

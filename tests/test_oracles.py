@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, PositiveRoot,
-                    SignedPermutation, billey_restrict_h,
-                    chern_consistency, coset_representative, divisible_by_k_root,
+                    billey_restrict_h, chern_consistency, divisible_by_k_root,
                     divisible_by_root_h, enumerate_isotropic, gkm_check,
                     gkm_check_table, gkm_edges, kclass_union_oracle, length,
                     lowest_degree_form, positivity_certificate, reduced_word, reflect,
@@ -13,59 +12,35 @@ from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, Positiv
 from lgrass import oracles, restriction
 
 from helpers import (bfs_weyl_lengths, inclusion_exclusion_union_class, per_pair_billey,
-                     x_expansion_lowest_form)
+                     window_generators, window_product, x_expansion_lowest_form)
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
 
 
-def t(i, n=3):
-    return LaurentPolynomial.var(n, i)
-
-
-class TestSignedPermutations:
-    def test_window_and_apply(self):
-        w = SignedPermutation((3, -2, -1))
-        assert w(1) == 3 and w(2) == -2 and w(-3) == 1
-
-    def test_composition(self):
-        u = SignedPermutation((2, 1, 3))
-        v = SignedPermutation((1, 3, 2))
-        assert (u * v).window == tuple(u(v(i)) for i in (1, 2, 3))
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            SignedPermutation((1, 1, 3))
-
-    def test_coset_representative(self):
-        assert coset_representative(ALPHA).window == (1, 3, -2)
-        assert coset_representative(BETA).window == (3, -2, -1)
-
-    def test_reduced_word_length(self):
-        w = coset_representative(BETA)
-        word = reduced_word(w)
-        assert len(word) == 5  # l(beta) = |sigma(beta)| for minimal reps
-
-    def test_apply_form(self):
-        w = SignedPermutation((-2, 1, 3))
-        form = t(1) - t(2)
-        assert w.apply_form(form) == -t(2) - t(1)
-
-
 class TestWeylGroup:
     """Peeled reduced words and the coset-representative table against the BFS."""
 
+    def test_representative_windows(self):
+        # alpha's minimal coset representative is its window alpha.signed
+        assert ALPHA.signed == (1, 3, -2) and BETA.signed == (3, -2, -1)
+        table = oracles._weyl_table(3)
+        assert table[ALPHA.signed] == length(ALPHA) and table[BETA.signed] == length(BETA)
+
+    def test_reduced_word_length(self):
+        word = reduced_word(BETA.signed)
+        assert len(word) == 5  # l(beta) = |sigma(beta)| for minimal reps
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_reduced_word_every_element(self, n):
-        gens = oracles.generators(n)
+        gens = window_generators(n)
         for window, bfs_length in bfs_weyl_lengths(n).items():
-            w = SignedPermutation(window)
-            word = reduced_word(w)
-            product = SignedPermutation.identity(n)
+            word = reduced_word(window)
+            product = tuple(range(1, n + 1))
             for gi in word:
-                product = product * gens[gi - 1]
-            assert product == w
-            assert len(word) == oracles.weyl_length(w) == bfs_length
+                product = window_product(product, gens[gi - 1])
+            assert product == window
+            assert len(word) == oracles.weyl_length(window) == bfs_length
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_table_is_coset_minima(self, n):
@@ -131,7 +106,7 @@ class TestSubwordColumn:
             return dataclasses.replace(got, value=got.value + 1) if (a, b) == victim else got
 
         monkeypatch.setattr(oracles, "restrict_h", perturbed)
-        report = oracles.verify_subword(3)
+        report = run_verification(3, ("subword",))[0]
         assert report.checks == 64
         assert report.failures == [f"subword mismatch at ({victim[0]}; {victim[1]})"]
 
@@ -178,7 +153,7 @@ class TestUnionOracle:
             return dataclasses.replace(got, value=got.value + 1) if (a, b) == victim else got
 
         monkeypatch.setattr(oracles, "restrict_k", perturbed)
-        report = oracles.verify_oracle(4)
+        report = run_verification(4, ("oracle",))[0]
         assert report.checks == 256
         assert report.failures == [f"oracle mismatch at ({victim[0]}; {victim[1]})"]
 
@@ -316,7 +291,7 @@ class TestSharedMemos:
                     except CertificateError as exc:
                         expected.append(f"{theory} ({a}; {b}): {exc}")
         assert expected
-        assert oracles.verify_positivity(3).failures == expected
+        assert run_verification(3, ("positivity",))[0].failures == expected
 
 
 class TestDiagonalRestriction:
@@ -374,7 +349,7 @@ class TestChern:
             return dataclasses.replace(got, value=got.value + 1) if (a, b) == victim else got
 
         monkeypatch.setattr(oracles, "restrict_h", perturbed)
-        report = oracles.verify_chern(3)
+        report = run_verification(3, ("chern",))[0]
         assert report.checks == 64
         assert report.failures == [f"chern mismatch at ({victim[0]}; {victim[1]})"]
 

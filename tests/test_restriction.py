@@ -285,6 +285,29 @@ class TestRestrictionColumn:
                 assert got.term_count == count
 
 
+# each entry point that takes (alpha, beta, theory); column_values gets beta
+# first, so a bad alpha in second place must still be caught
+ENTRY_POINTS = {
+    "restrict": restrict,
+    "column_values": lambda alpha, beta, theory: column_values(beta, theory, [beta, alpha]),
+    "positivity_certificate": positivity_certificate,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+class TestArgumentChecks:
+    def test_unknown_theory_rejected(self, name):
+        # any theory but "K" once took the H branch: "k" returned H values
+        with pytest.raises(ValueError, match="theory must be 'K' or 'H', got 'k'"):
+            ENTRY_POINTS[name](IsotropicIndex(2, (1, 3)), IsotropicIndex(2, (3, 4)), "k")
+
+    def test_rank_mismatch_rejected(self, name):
+        # sigma(alpha) = (1) is a shape of the n=2 column, which once gave
+        # -1/(t1^2*t2^2) + 1 here
+        with pytest.raises(ValueError, match="rank mismatch: 3 vs 2"):
+            ENTRY_POINTS[name](IsotropicIndex(3, (1, 2, 4)), IsotropicIndex(2, (3, 4)), "K")
+
+
 def later_only_pair(theory):
     """A rank-3 (alpha, beta, (a, b)) whose pair (a, b) is not in the first tableau.
 
