@@ -18,8 +18,7 @@ from .chart import (ChartIndexSet, SubspaceSpec, chart_matrix_pattern,
                     coordinate_weight_h, coordinate_weight_k, subspace_of_tableau)
 from .restriction import (CertificateError, PositiveRoot, RestrictionResult,
                           positive_roots, positivity_certificate, restrict,
-                          restrict_h, restrict_k, restriction_table,
-                          root_for_entry)
+                          restrict_h, restrict_k, root_for_entry)
 from .models import (DiagramSubset, PathFamily, SymmetricDiagramSubset,
                      SymmetricTableau, double_subset, enumerate_model,
                      family_to_subset, fold_subset, fold_symmetric,

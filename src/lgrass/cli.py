@@ -20,8 +20,7 @@ from .indexing import (IsotropicIndex, check_strict, enumerate_isotropic, is_sym
 from .laurent import LaurentPolynomial
 from .models import MODEL_NAMES, enumerate_model
 from .oracles import run_verification
-# restrict is unused here but stays importable: bench/tracer.py patches it by name
-from .restriction import column_values, restrict  # noqa: F401
+from .restriction import column_values, restrict
 from .workers import forked_map
 
 # Largest n per table theory, from measured cost on 2 shared Xeon cores, where
@@ -32,6 +31,15 @@ from .workers import forked_map
 # column peaks at 3.0 GB), and a cold `table --n 7 --theory H --out csv` 28 s
 # and 672 MB, most of it formatting 10.2 M monomials.
 TABLE_RANK_LIMITS = {"K": 6, "H": 7}
+# Largest n for `restrict`, which walks beta's DP only along the prefixes of
+# sigma(alpha).  Cold `restrict --n 7 --beta=-7,-6,-5,-4,-3,-2,-1` on 2 shared
+# Xeon cores: K at alpha = w0 6.3-7.7 s and 332 MB (1.24 M terms; 3-4 s of it
+# is the walk, the rest printing), K at the slowest walks of an in-process
+# sweep over all 128 alphas (4.0-4.1 s: alpha = 3,-7,-6,-5,-4,-2,-1 and
+# 4,-7,-6,-5,-3,-2,-1) 5.4-5.6 s and 262-354 MB, H at most 0.3 s and 35 MB, the
+# identity class 0.14 s.  Mid-size pruned n=8 K cells at w0 took 5.5-10.6 s
+# and 701 MB in-process, and n=8 w0 itself was not run.
+RESTRICT_RANK_LIMIT = 7
 # Largest n per verify suite, from cold CLI runs on 2 shared Xeon cores, where
 # `verify` deals its beta columns and gkm rows over one process per usable CPU
 # (time, then peak RSS of the largest process): `--n 6 --suite gkm` 34-37 s and
@@ -66,6 +74,8 @@ def parse_partition(text: str) -> tuple[int, ...]:
 
 
 def _cmd_restrict(args) -> int:
+    if args.n > RESTRICT_RANK_LIMIT:
+        raise ValueError(f"restrict rank guard: n <= {RESTRICT_RANK_LIMIT}")
     alpha = parse_index(args.alpha, args.n)
     beta = parse_index(args.beta, args.n)
     result = restrict(alpha, beta, args.theory)

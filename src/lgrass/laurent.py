@@ -379,19 +379,28 @@ class LaurentPolynomial:
     def pretty(self, memo: dict | None = None) -> str:
         """Human-readable rendering: products of t_i, inverses as 1/t_i.
 
+        A monomial's text joins the pieces of its first n // 2 variables and
+        of the others, and each distinct half is rendered once per call.
         memo, if given, maps a packed exponent key to its monomial text and is
         filled as it goes, so a caller rendering many polynomials shares it.
         """
         if not self._terms:
             return "0"
-        if memo is None:
-            memo = {}
         terms, n = self._terms, self.n
+        h = n // 2
+        shift = W * (n - h)  # a key's low fields hold its last n - h variables
+        mask = (1 << shift) - 1
+        highs, lows = {}, {}  # each half's packed fields -> its ``_pieces``
         pieces = []
         for key in sorted(terms):
-            mono = memo.get(key)
+            mono = None if memo is None else memo.get(key)
             if mono is None:
-                mono = memo[key] = _monomial_text(_unpack(key, n))
+                hi, lo = key >> shift, key & mask
+                mono = _monomial_text(
+                    highs.get(hi) or highs.setdefault(hi, _pieces(_unpack(hi, h), 0)),
+                    lows.get(lo) or lows.setdefault(lo, _pieces(_unpack(lo, n - h), h)))
+                if memo is not None:
+                    memo[key] = mono
             c = terms[key]
             a = abs(c)
             body = (mono if a == 1 else f"{a}*{mono}") if mono else str(a)
@@ -407,19 +416,20 @@ class LaurentPolynomial:
         return f"<laurent n={self.n} {self.pretty()}>"
 
 
-def _monomial_text(exps) -> str:
-    """t1^2*t3/(t2*t4) for (2, -1, 1, -1); the empty string for the constant 1."""
-    num = [f"t{i + 1}" + (f"^{e}" if e > 1 else "")
-           for i, e in enumerate(exps) if e > 0]
-    den = [f"t{i + 1}" + (f"^{-e}" if e < -1 else "")
-           for i, e in enumerate(exps) if e < 0]
-    mono = "*".join(num)
-    if den:
-        dstr = "*".join(den)
-        if len(den) > 1:
-            dstr = f"({dstr})"
-        mono = (mono or "1") + "/" + dstr
-    return mono
+def _pieces(exps, first: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The numerator and the denominator factors of t_{first+1}^e_1 * ..., as texts."""
+    return (tuple(f"t{first + i + 1}" + (f"^{e}" if e > 1 else "")
+                  for i, e in enumerate(exps) if e > 0),
+            tuple(f"t{first + i + 1}" + (f"^{-e}" if e < -1 else "")
+                  for i, e in enumerate(exps) if e < 0))
+
+
+def _monomial_text(head, tail) -> str:
+    """t1^2*t3/(t2*t4) from the ``_pieces`` of (2, -1) and of (1, -1); "" for 1."""
+    num, den = "*".join(head[0] + tail[0]), head[1] + tail[1]
+    if not den:
+        return num
+    return (num or "1") + "/" + (den[0] if len(den) == 1 else f"({'*'.join(den)})")
 
 
 def bar_var_k(label: int, n: int) -> LaurentPolynomial:
@@ -526,6 +536,12 @@ def _parse_root(theta: LaurentPolynomial) -> list[tuple[int, int]]:
     return entries
 
 
+def check_theory(theory: str) -> None:
+    """Raise ValueError unless theory is "K" (K-theory) or "H" (cohomology)."""
+    if theory not in ("K", "H"):
+        raise ValueError(f"theory must be 'K' or 'H', got {theory!r}")
+
+
 def root_images(theta: LaurentPolynomial, theory: str) -> tuple[tuple, ...]:
     """``_substitute`` arguments whose images of p all vanish iff theta divides p.
 
@@ -537,8 +553,9 @@ def root_images(theta: LaurentPolynomial, theory: str) -> tuple[tuple, ...]:
     t_i -> 1 for +-t_i, and both t_i -> 1 and t_i -> -1 for +-2t_i (over the
     integers, p = A + t_i B mod t_i^2 - 1 vanishes iff A + B and A - B do).
     Each image is a ring homomorphism, so p1 - p2 is divisible iff p1 and p2
-    have equal images.
+    have equal images.  A theory other than "K" or "H" raises ValueError.
     """
+    check_theory(theory)
     (i, a), *rest = _parse_root(theta)
     if theory == "H":
         if rest:

@@ -32,12 +32,12 @@ from typing import NamedTuple
 
 from .chart import coordinate_weight_k
 from .indexing import IsotropicIndex, bar, enumerate_isotropic, length, sigma
-# the divisible_by_* wrappers are unused here but stay importable:
-# bench/tracer.py patches them by name
+# the divisible_by_* wrappers and restrict, restrict_k and restrict_h are
+# unused here but stay importable: bench/tracer.py patches them by name
 from .laurent import (LaurentPolynomial, divisible_by_k_root,  # noqa: F401
                       divisible_by_root_h, lowest_degree_form, root_images)
-from .restriction import (PositiveRoot, positive_roots, positivity_certificate,
-                          restrict, restrict_h, restrict_k)
+from .restriction import (PositiveRoot, _check_args, _walk, positive_roots,  # noqa: F401
+                          positivity_certificate, restrict, restrict_h, restrict_k)
 from .tableaux import enumerate_ssyt
 from .workers import forked_map
 
@@ -84,9 +84,8 @@ def weyl_length(window: tuple[int, ...]) -> int:
     return len(reduced_word(window))
 
 
-@functools.lru_cache(maxsize=None)
 def _subword_column(beta: IsotropicIndex) -> dict[IsotropicIndex, LaurentPolynomial]:
-    """Unsigned subword sums at every fixed point alpha, for one beta.
+    """Subword sums at every fixed point alpha, times (-1)^{l(alpha)}, for one beta.
 
     One DP over the subwords of a fixed reduced word of the beta
     representative ``beta.signed``, read right to left: a state is the window
@@ -100,7 +99,8 @@ def _subword_column(beta: IsotropicIndex) -> dict[IsotropicIndex, LaurentPolynom
     and i+1 and s_n negates position n.  So the prefix root w(t_i - t_{i+1})
     of letter i is sgn(w_i) t_|w_i| - sgn(w_{i+1}) t_|w_{i+1}|, and
     w(2 t_n) = 2 sgn(w_n) t_|w_n|.  Left multiplication acts on values: s_i
-    swaps i <-> i+1 and -i <-> -(i+1), s_n swaps n <-> -n.
+    swaps i <-> i+1 and -i <-> -(i+1), s_n swaps n <-> -n.  An alpha that
+    no subword reaches gets 0.
     """
     n = beta.n
     lens = _weyl_table(n)
@@ -134,8 +134,9 @@ def _subword_column(beta: IsotropicIndex) -> dict[IsotropicIndex, LaurentPolynom
         for u2, add in updates.items():
             got = states.get(u2)
             states[u2] = add if got is None else got + add
-    alphas = {a.signed: a for a in enumerate_isotropic(n)}
-    return {alphas[u]: value for u, value in states.items()}
+    zero = LaurentPolynomial.zero(n)
+    column = {a: states.get(a.signed, zero) for a in enumerate_isotropic(n)}
+    return {a: -value if length(a) % 2 else value for a, value in column.items()}
 
 
 def billey_restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> LaurentPolynomial:
@@ -143,18 +144,36 @@ def billey_restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> LaurentPol
 
     Sums, over reduced subwords of a fixed reduced word of the beta
     representative that multiply to the alpha representative, the products of
-    prefix-reflected simple roots; the sum is read from ``_subword_column``,
-    which runs the DP once per beta.  The opposite-Borel convention of the
-    restriction classes enters as a global (-1)^{l(alpha)}, equivalently as
-    negating every root; the dictionary is frozen by the rank-one point
+    prefix-reflected simple roots; the sum is read from beta's
+    ``_subword_column``.  The opposite-Borel convention of the restriction
+    classes enters as a global (-1)^{l(alpha)}, equivalently as negating
+    every root; the dictionary is frozen by the rank-one point
     ({2}, {2}) -> -2 t_1 and validated against the tableau formula elsewhere.
     """
     if alpha.n != beta.n:
         raise ValueError("rank mismatch")
-    value = _subword_column(beta).get(alpha)
-    if value is None:
-        return LaurentPolynomial.zero(alpha.n)
-    return -value if length(alpha) % 2 else value
+    return _subword_column(beta)[alpha]
+
+
+# ---------------------------------------------------------------------------
+# restriction values, for the suites that compare against them
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _column(beta: IsotropicIndex, theory: str
+            ) -> dict[tuple[int, ...], tuple[LaurentPolynomial, int]]:
+    """beta's restriction column, shape -> (value, tableau count), walked once per process.
+
+    Every gkm row reads all 2^n columns, and the pair suites share them.
+    """
+    return dict(_walk(beta, theory))
+
+
+def _restriction(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str) -> LaurentPolynomial:
+    """The restriction value of alpha at beta, read from ``_column``."""
+    _check_args(theory, beta, alpha)
+    entry = _column(beta, theory).get(sigma(alpha))
+    return LaurentPolynomial.zero(alpha.n) if entry is None else entry[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +263,8 @@ def gkm_check_table(table: dict[IsotropicIndex, LaurentPolynomial], n: int,
     The root of an edge divides p1 - p2 iff p1 and p2 have equal images under
     each of its substitutions (each one is a ring homomorphism), so the
     difference is never built, and equal values pass without substituting.
-    The report's ``checks`` counts the edges.
+    The report's ``checks`` counts the edges.  A theory other than "K" or "H"
+    raises ValueError, from ``root_images``.
     """
     if theory == "H" and any(p.has_negative_exponent() for p in table.values()):
         raise ValueError("cohomology divisibility needs nonnegative exponents")
@@ -266,7 +286,7 @@ def gkm_check(alpha: IsotropicIndex, n: int, theory: str,
     ``corrupt`` perturbs one table value by +1 as a negative control; the
     resulting report is expected to carry failures.
     """
-    table = {b: restrict(alpha, b, theory).value for b in enumerate_isotropic(n)}
+    table = {b: _restriction(alpha, b, theory) for b in enumerate_isotropic(n)}
     if corrupt:
         victim = max(table)
         table[victim] = table[victim] + 1
@@ -279,8 +299,8 @@ def gkm_check(alpha: IsotropicIndex, n: int, theory: str,
 
 def chern_consistency(alpha: IsotropicIndex, beta: IsotropicIndex) -> bool:
     """Lowest-order form of the K restriction equals the cohomology restriction."""
-    k_value = restrict_k(alpha, beta).value
-    h_value = restrict_h(alpha, beta).value
+    k_value = _restriction(alpha, beta, "K")
+    h_value = _restriction(alpha, beta, "H")
     return lowest_degree_form(k_value, order=length(alpha)) == h_value
 
 
@@ -333,7 +353,7 @@ def _pair_column(points: list[IsotropicIndex], j: int, *checks) -> Share:
 
 def _oracle_job(points: list[IsotropicIndex], j: int) -> Share:
     def check(a, b):
-        if restrict_k(a, b).value != kclass_union_oracle(a, b):
+        if _restriction(a, b, "K") != kclass_union_oracle(a, b):
             return f"oracle mismatch at ({a}; {b})"
 
     return _pair_column(points, j, check)
@@ -361,8 +381,10 @@ def _positivity_job(points: list[IsotropicIndex], j: int) -> Share:
 
 
 def _subword_job(points: list[IsotropicIndex], j: int) -> Share:
+    column = _subword_column(points[j])
+
     def check(a, b):
-        if billey_restrict_h(a, b) != restrict_h(a, b).value:
+        if column[a] != _restriction(a, b, "H"):
             return f"subword mismatch at ({a}; {b})"
 
     return _pair_column(points, j, check)

@@ -28,28 +28,27 @@ by itself.
 sum: set-valued tableaux in K (the sum over fillings of prod 2^(m - lo)),
 single-entry tableaux in H.
 
-The fillings are summed row by row, once per fixed point beta and for every
-alpha at once (``_restriction_column``).  A box's bound lo depends only on
-its left neighbour and on the box above it, so the rows filled so far enter
-the next row only through the maxima of the last one: a DP state is (shape
-prefix, maxima of its last row), and every shape that extends a prefix shares
-that prefix's sums.  The value at alpha is the sum of the states whose
-prefix is sigma(alpha).
+The fillings are summed row by row, by one DP per fixed point beta
+(``_walk``).  A box's bound lo depends only on its left neighbour and on the
+box above it, so the rows filled so far enter the next row only through the
+maxima of the last one: a DP state is (shape prefix, maxima of its last row),
+and the value at alpha is the sum of the states whose prefix is sigma(alpha).
+The DP is a forest over prefixes, walked depth first: ``column_values`` walks
+all of it, ``restrict`` only the prefixes of sigma(alpha).  Nothing is cached.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-# length and tableau_cut_pairs are unused here but stay importable:
-# bench/tracer.py patches them by name
+# enumerate_isotropic, length and tableau_cut_pairs are unused here but stay
+# importable: bench/tracer.py patches them by name
 from .chart import (coordinate_weight_h, coordinate_weight_k, entry_cut_pairs,  # noqa: F401
                     tableau_cut_pairs)
 from .indexing import (IsotropicIndex, bar, enumerate_isotropic, length,  # noqa: F401
                        sigma, transpose)
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, check_theory
 from .tableaux import enumerate_ssvt, enumerate_ssyt
 
 
@@ -164,8 +163,7 @@ def _root_at(a: int, c: int, n: int) -> PositiveRoot:
 
 def _check_args(theory: str, beta: IsotropicIndex, *alphas: IsotropicIndex) -> int:
     """beta's rank, after checking that theory is "K" or "H" and that every alpha has it."""
-    if theory not in ("K", "H"):
-        raise ValueError(f"theory must be 'K' or 'H', got {theory!r}")
+    check_theory(theory)
     for alpha in alphas:
         if alpha.n != beta.n:
             raise ValueError(f"rank mismatch: {alpha.n} vs {beta.n}")
@@ -193,10 +191,9 @@ def _rows_below(prev: tuple[int, ...], caps: tuple[int, ...]
                 stack.append((*grown, m))
 
 
-@functools.lru_cache(maxsize=None)
-def _restriction_column(beta: IsotropicIndex, theory: str
-                        ) -> dict[tuple[int, ...], tuple[LaurentPolynomial, int]]:
-    """Signed restriction values and tableau counts at every shape lam, for one beta.
+def _walk(beta: IsotropicIndex, theory: str, target: tuple[int, ...] | None = None
+          ) -> Iterator[tuple[tuple[int, ...], tuple[LaurentPolynomial, int]]]:
+    """(lam, (signed restriction value, tableau count)) for each shape lam of beta's DP.
 
     A row DP over the shifted shape: a state is (shape prefix (l_1..l_r),
     box maxima of row r) and holds the summed products of the box factors of
@@ -207,9 +204,10 @@ def _restriction_column(beta: IsotropicIndex, theory: str
     it contributes the linear form of m (lo = m).  Parents reaching one
     (prefix, row) key with the same lower bounds are summed, and each key's
     (summed parents, row factor) pairs go through one ``sum_of_products``.
-    The value at lam is the sum of the states with prefix lam.  The DP never
-    looks at alpha, so it runs once per beta; the keys are exactly the
-    shapes lam contained in sigma(beta).
+    A key's parents all share one prefix, so the walk goes depth first: a
+    shape is yielded once its states are built and freed once its extensions
+    are done.  The shapes are those contained in sigma(beta); a target shape
+    among them limits the walk to its prefixes and the yield to itself.
     """
     n = beta.n
     mu = sigma(beta)
@@ -235,29 +233,33 @@ def _restriction_column(beta: IsotropicIndex, theory: str
             products[boxes] = f
         return f
 
-    column: dict[tuple[int, ...], tuple[LaurentPolynomial, int]] = {}
-    # the first row sits below a virtual row of zeros one box longer than mu_1
-    layer = {((), (0,) * (len(caps) + 1)): (one, 1)}
-    while layer:
-        shapes: dict[tuple[int, ...], list[tuple[LaurentPolynomial, int]]] = {}
-        groups: dict[tuple, list[tuple[LaurentPolynomial, int]]] = {}
-        for (prefix, prev), state in layer.items():
-            shapes.setdefault(prefix, []).append(state)
-            for row, los in _rows_below(prev, caps):
-                key = (prefix + (len(row),), row, los if set_valued else row)
-                groups.setdefault(key, []).append(state)
-        for shape, states in shapes.items():
-            column[shape] = _summed(n, states)
-        merged: dict[tuple, list[tuple[LaurentPolynomial, LaurentPolynomial]]] = {}
-        counts: dict[tuple, int] = {}
-        for (shape, row, los), parents in groups.items():
+    def extended(group: dict) -> dict:  # (row, los) -> parents, to row -> (value, count)
+        merged: dict[tuple[int, ...], list] = {}
+        counts: dict[tuple[int, ...], int] = {}
+        for (row, los), parents in group.items():
             value, count = _summed(n, parents)
-            key = (shape, row)
-            merged.setdefault(key, []).append((value, row_factor(tuple(zip(los, row)))))
-            counts[key] = counts.get(key, 0) + (count << (sum(row) - sum(los)))
-        layer = {key: (LaurentPolynomial.sum_of_products(n, pairs), counts[key])
-                 for key, pairs in merged.items()}
-    return column
+            merged.setdefault(row, []).append((value, row_factor(tuple(zip(los, row)))))
+            counts[row] = counts.get(row, 0) + (count << (sum(row) - sum(los)))
+        return {row: (LaurentPolynomial.sum_of_products(n, pairs), counts[row])
+                for row, pairs in merged.items()}
+
+    def grow(prefix: tuple[int, ...], states: dict):
+        r = len(prefix)
+        if target is None or r == len(target):
+            yield prefix, _summed(n, list(states.values()))
+            if target is not None:
+                return
+        groups: dict[int, dict] = {}  # row length -> (row, los) -> parent states
+        for prev, state in states.items():
+            for row, los in _rows_below(prev, caps):
+                if target is None or len(row) == target[r]:
+                    groups.setdefault(len(row), {}).setdefault(
+                        (row, los if set_valued else row), []).append(state)
+        for part, group in groups.items():
+            yield from grow(prefix + (part,), extended(group))
+
+    # the first row sits below a virtual row of zeros one box longer than mu_1
+    yield from grow((), {(0,) * (len(caps) + 1): (one, 1)})
 
 
 def _summed(n: int, states: list[tuple[LaurentPolynomial, int]]
@@ -270,29 +272,30 @@ def _summed(n: int, states: list[tuple[LaurentPolynomial, int]]
 
 
 def restrict(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str) -> RestrictionResult:
-    """Restriction of the Schubert class of alpha at beta, read from beta's column."""
+    """Restriction of the Schubert class of alpha at beta, by beta's DP pruned to sigma(alpha).
+
+    One uncached ``_walk`` along the prefixes of sigma(alpha), not beta's
+    whole column; 0 from 0 tableaux, with no walk, where sigma(alpha) is not
+    contained in sigma(beta).
+    """
     _check_args(theory, beta, alpha)
-    value, count = _column_entry(_restriction_column(beta, theory), alpha)
+    lam, mu = sigma(alpha), sigma(beta)
+    if len(lam) > len(mu) or any(a > b for a, b in zip(lam, mu)):
+        return RestrictionResult(alpha, beta, theory, LaurentPolynomial.zero(beta.n), 0)
+    ((_, (value, count)),) = _walk(beta, theory, lam)
     return RestrictionResult(alpha, beta, theory, value, count)
 
 
 def column_values(beta: IsotropicIndex, theory: str, alphas) -> list[LaurentPolynomial]:
-    """The restriction values at beta of each of alphas, from one uncached column.
+    """The restriction values at beta of each of alphas, from one unpruned, uncached walk.
 
-    For a caller that visits each beta once, such as ``table``: the column is
-    built by ``_restriction_column``'s DP, bypassing its cache, and freed on return.
+    For a caller that reads many alphas at one beta, such as ``table``.
     """
     alphas = list(alphas)
     _check_args(theory, beta, *alphas)
-    column = _restriction_column.__wrapped__(beta, theory)
-    return [_column_entry(column, alpha)[0] for alpha in alphas]
-
-
-def _column_entry(column: dict[tuple[int, ...], tuple[LaurentPolynomial, int]],
-                 alpha: IsotropicIndex) -> tuple[LaurentPolynomial, int]:
-    """alpha's (value, tableau count) in a beta column: zero where sigma(alpha) is no key."""
-    entry = column.get(sigma(alpha))
-    return entry if entry is not None else (LaurentPolynomial.zero(alpha.n), 0)
+    column = {shape: value for shape, (value, _) in _walk(beta, theory)}
+    zero = LaurentPolynomial.zero(beta.n)
+    return [column.get(sigma(alpha), zero) for alpha in alphas]
 
 
 def restrict_k(alpha: IsotropicIndex, beta: IsotropicIndex) -> RestrictionResult:
@@ -347,8 +350,3 @@ def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex, theory: 
         certificates.append(roots)
     return certificates
 
-
-def restriction_table(n: int, theory: str) -> dict[tuple[IsotropicIndex, IsotropicIndex], LaurentPolynomial]:
-    """All 2^n x 2^n restriction values, keyed by (alpha, beta)."""
-    points = enumerate_isotropic(n)
-    return {(a, b): restrict(a, b, theory).value for a in points for b in points}

@@ -100,6 +100,19 @@ class TestRestrictCommand:
                   "--beta", "1,2", "--theory", "K"])
         assert err.value.code == 2
 
+    def test_rank_guard_allows_n7(self, capsys):
+        code, out = run(capsys, "restrict", "--n", "7", "--alpha", "1,2,3,4,5,6,7",
+                        "--beta", "-7,-6,-5,-4,-3,-2,-1", "--theory", "K")
+        assert code == 0
+        assert "value: 1" in out
+
+    def test_rank_guard_n8_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["restrict", "--n", "8", "--alpha", "1,2,3,4,5,6,7,8",
+                  "--beta", "-8,-7,-6,-5,-4,-3,-2,-1", "--theory", "K"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "error: restrict rank guard: n <= 7\n"
+
 
 class TestTableCommand:
     def test_rank_zero_exit_2(self):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,14 +6,30 @@ from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, Positiv
                     divisible_by_root_h, enumerate_isotropic, gkm_check,
                     gkm_check_table, gkm_edges, kclass_union_oracle, length,
                     lowest_degree_form, positivity_certificate, reduced_word, reflect,
-                    restrict, restrict_h, restrict_k, run_verification)
+                    restrict, restrict_h, restrict_k, run_verification, sigma)
 from lgrass import oracles, restriction
+from lgrass.laurent import root_images
 
 from helpers import (bfs_weyl_lengths, inclusion_exclusion_union_class, per_pair_billey,
                      window_generators, window_product, x_expansion_lowest_form)
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
+
+
+def perturb_memo(monkeypatch, theory, alpha, beta):
+    """Make the suites' restriction memo read the value at (alpha, beta) plus 1, there only."""
+    real = oracles._column
+
+    def perturbed(b, t):
+        column = real(b, t)
+        if (b, t) == (beta, theory):
+            column = dict(column)
+            value, count = column.get(sigma(alpha), (LaurentPolynomial.zero(b.n), 0))
+            column[sigma(alpha)] = (value + 1, count)
+        return column
+
+    monkeypatch.setattr(oracles, "_column", perturbed)
 
 
 class TestWeylGroup:
@@ -99,13 +113,7 @@ class TestSubwordColumn:
     def test_perturbed_restriction_reported_once(self, monkeypatch):
         points = enumerate_isotropic(3)
         victim = (points[2], points[5])
-        real = oracles.restrict_h
-
-        def perturbed(a, b):
-            got = real(a, b)
-            return dataclasses.replace(got, value=got.value + 1) if (a, b) == victim else got
-
-        monkeypatch.setattr(oracles, "restrict_h", perturbed)
+        perturb_memo(monkeypatch, "H", *victim)
         report = run_verification(3, ("subword",))[0]
         assert report.checks == 64
         assert report.failures == [f"subword mismatch at ({victim[0]}; {victim[1]})"]
@@ -113,9 +121,8 @@ class TestSubwordColumn:
     def test_wrong_reduced_word_raises(self, monkeypatch):
         real = oracles.reduced_word
         monkeypatch.setattr(oracles, "reduced_word", lambda w: real(w)[:-1])
-        # the uncached function, so the cache never sees the broken word
         with pytest.raises(RuntimeError):
-            oracles._subword_column.__wrapped__(BETA)
+            oracles._subword_column(BETA)
 
 
 class TestUnionOracle:
@@ -146,13 +153,7 @@ class TestUnionOracle:
     def test_perturbed_restriction_reported_once(self, monkeypatch):
         points = enumerate_isotropic(4)
         victim = (points[5], points[11])
-        real = oracles.restrict_k
-
-        def perturbed(a, b):
-            got = real(a, b)
-            return dataclasses.replace(got, value=got.value + 1) if (a, b) == victim else got
-
-        monkeypatch.setattr(oracles, "restrict_k", perturbed)
+        perturb_memo(monkeypatch, "K", *victim)
         report = run_verification(4, ("oracle",))[0]
         assert report.checks == 256
         assert report.failures == [f"oracle mismatch at ({victim[0]}; {victim[1]})"]
@@ -218,6 +219,16 @@ class TestGkmCheck:
         victim = next(iter(table))
         table[victim] = table[victim] + 1
         assert not gkm_check_table(table, n, "H").ok
+
+    def test_unknown_theory_rejected(self):
+        # any theory but "H" once took the K branch: "h" failed a clean H row
+        row = {b: restrict_h(enumerate_isotropic(2)[1], b).value for b in enumerate_isotropic(2)}
+        assert gkm_check_table(row, 2, "H").ok
+        message = "theory must be 'K' or 'H', got 'h'"
+        with pytest.raises(ValueError, match=message):
+            gkm_check_table(row, 2, "h")
+        with pytest.raises(ValueError, match=message):
+            root_images(PositiveRoot("double", 1, 1).form_h(2), "h")
 
 
 def reference_gkm_failures(table, n, theory):
@@ -342,13 +353,7 @@ class TestChern:
     def test_perturbed_restriction_reported_once(self, monkeypatch):
         points = enumerate_isotropic(3)
         victim = (points[3], points[6])
-        real = oracles.restrict_h
-
-        def perturbed(a, b):
-            got = real(a, b)
-            return dataclasses.replace(got, value=got.value + 1) if (a, b) == victim else got
-
-        monkeypatch.setattr(oracles, "restrict_h", perturbed)
+        perturb_memo(monkeypatch, "H", *victim)
         report = run_verification(3, ("chern",))[0]
         assert report.checks == 64
         assert report.failures == [f"chern mismatch at ({victim[0]}; {victim[1]})"]

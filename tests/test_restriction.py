@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,9 +7,10 @@ from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, Positiv
                     coordinate_weight_h, coordinate_weight_k,
                     enumerate_isotropic, enumerate_ssvt, enumerate_ssyt, length,
                     positive_roots, positivity_certificate, restrict, restrict_h,
-                    restrict_k, restriction_table, root_for_entry, sigma)
+                    restrict_k, root_for_entry, sigma)
+from lgrass import oracles, restriction
 from lgrass.chart import tableau_cut_pairs
-from lgrass.restriction import _restriction_column, _root_at, column_values
+from lgrass.restriction import _root_at, _walk, column_values
 
 ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
@@ -176,7 +179,14 @@ class TestPositiveRoots:
             PositiveRoot(kind, i, j)
 
 
+def restriction_table(n, theory):
+    points = enumerate_isotropic(n)
+    return {(a, b): restrict(a, b, theory).value for a in points for b in points}
+
+
 class TestTable:
+    """The 2^n x 2^n table of values, read one restrict at a time."""
+
     def test_shape_and_determinism(self):
         table = restriction_table(2, "H")
         assert len(table) == 16
@@ -241,39 +251,78 @@ class TestLiteralSum:
         assert_matches_literal(alpha, beta)
 
 
+@functools.lru_cache(maxsize=None)
+def walked_column(beta, theory):
+    return dict(_walk(beta, theory))
+
+
+def assert_pruned_matches_walk(alpha, beta, theory):
+    """restrict, pruned to sigma(alpha), against the unpruned walk, terms and count."""
+    zero = (LaurentPolynomial.zero(beta.n), 0)
+    value, count = walked_column(beta, theory).get(sigma(alpha), zero)
+    got = restrict(alpha, beta, theory)
+    assert got.value.terms() == value.terms()
+    assert got.term_count == count
+
+
 class TestRestrictionColumn:
     """One row DP per beta holds the restriction at every alpha."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_keys_are_contained_shapes(self, n):
+    def test_keys_are_contained_shapes(self, monkeypatch, n):
+        def no_walk(*args):
+            raise AssertionError("walked toward a shape outside sigma(beta)")
+
+        # restrict must return 0 outside sigma(beta) without walking;
+        # walked_column keeps its own reference to the real _walk
+        monkeypatch.setattr(restriction, "_walk", no_walk)
         points = enumerate_isotropic(n)
         for beta in points:
             inside = {sigma(a) for a in points if contained(sigma(a), sigma(beta))}
             for theory in ("K", "H"):
-                assert set(_restriction_column(beta, theory)) == inside
+                assert set(walked_column(beta, theory)) == inside
                 for alpha in points:
                     if sigma(alpha) not in inside:
                         res = restrict(alpha, beta, theory)
                         assert res.value.is_zero() and res.term_count == 0
 
     @pytest.mark.parametrize("theory", ["K", "H"])
-    def test_results_hold_column_objects(self, theory):
-        beta = IsotropicIndex(3, (4, 5, 6))  # sigma(beta) = (3, 2, 1) holds every shape
+    def test_pruned_restrict_matches_walk(self, theory):
+        for n in (1, 2, 3, 4):
+            points = enumerate_isotropic(n)
+            for beta in points:
+                for alpha in points:
+                    assert_pruned_matches_walk(alpha, beta, theory)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(enumerate_isotropic(5)), st.sampled_from(enumerate_isotropic(5)),
+           st.sampled_from("KH"))
+    def test_pruned_restrict_matches_walk_sampled_n5(self, alpha, beta, theory):
+        assert_pruned_matches_walk(alpha, beta, theory)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.sampled_from(enumerate_isotropic(6)), st.sampled_from(enumerate_isotropic(6)),
+           st.sampled_from("KH"))
+    def test_pruned_restrict_matches_walk_sampled_n6(self, alpha, beta, theory):
+        assert_pruned_matches_walk(alpha, beta, theory)
+
+    def test_restrict_leaves_the_oracle_memo_empty(self):
+        oracles._column.cache_clear()
         points = enumerate_isotropic(3)
-        assert {length(a) % 2 for a in points} == {0, 1}
         for alpha in points:
-            value, count = _restriction_column(beta, theory)[sigma(alpha)]
-            res = restrict(alpha, beta, theory)
-            assert res.value is value and res.term_count == count
+            for beta in points:
+                for theory in ("K", "H"):
+                    restrict(alpha, beta, theory)
+        assert oracles._column.cache_info().currsize == 0
 
     @pytest.mark.parametrize("theory", ["K", "H"])
     def test_column_values_match_restrict_and_cache_nothing(self, theory):
         points = enumerate_isotropic(3)
+        oracles._column.cache_clear()
         for beta in points:
-            _restriction_column.cache_clear()
             got = column_values(beta, theory, points)
-            assert _restriction_column.cache_info().currsize == 0
             assert got == [restrict(a, beta, theory).value for a in points]
+        assert oracles._column.cache_info().currsize == 0
 
     def test_h_column_matches_literal_n5(self):
         points = enumerate_isotropic(5)
