@@ -42,12 +42,12 @@ TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 RESTRICT_RANK_LIMIT = 7
 # Largest n per verify suite, from cold CLI runs on 2 shared Xeon cores, where
 # `verify` deals its beta columns and gkm rows over one process per usable CPU
-# (time, then peak RSS of the largest process): `--n 6 --suite gkm` 34-37 s and
-# 312 MB (86 016 edge checks; every process builds all n=6 K and H columns),
-# `--suite positivity` 3.0-3.2 s and 22 MB (8 192 certificates), `--suite
-# subword` 1.0 s and 54 MB, `--suite chern` 27.8-33.6 s and 165 MB (4 096
-# checks, 3 runs).  `--n 5 --suite oracle` takes 1.5-2.0 s and 32 MB,
-# `--suite all` at n=5 2.5-3.1 s and 29 MB; the oracle's face-sum DP over all
+# (time, then peak RSS of the largest process): `--n 6 --suite gkm` 20-26 s and
+# 298 MB (86 016 edge checks; every process builds all n=6 K and H columns;
+# 6 runs), `--suite positivity` 2.6-2.7 s and 21 MB (8 192 certificates),
+# `--suite subword` 0.5-0.6 s and 35 MB, `--suite chern` 37-40 s and 164 MB
+# (4 096 checks, 2 runs).  `--n 5 --suite oracle` takes 1.5-2.0 s and 32 MB,
+# `--suite all` at n=5 2.6-3.2 s and 28 MB; the oracle's face-sum DP over all
 # n=6 pairs took 367-384 s on one process, so it stays at n <= 5.  --suite
 # all takes the minimum, so it stays at 5 because of oracle.
 VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 6, "positivity": 6, "subword": 6}

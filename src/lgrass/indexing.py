@@ -68,6 +68,9 @@ class IsotropicIndex:
         vals = tuple(sorted(int(v) for v in values))
         if len(vals) != n or len(set(vals)) != n:
             raise ValueError(f"need {n} distinct values, got {values}")
+        if vals[0] < 1 or vals[-1] > 2 * n:
+            bad = vals[0] if vals[0] < 1 else vals[-1]
+            raise ValueError(f"label {bad} out of range 1..{2 * n} for n={n}")
         for k in range(1, n + 1):
             if (k in vals) == (bar(k, n) in vals):
                 raise ValueError(

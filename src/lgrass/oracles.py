@@ -21,7 +21,10 @@ those two is common to both and only subword and gkm can catch it:
 
 ``run_verification`` splits the suites into jobs, one beta column of a pair
 suite or one (theory, alpha) row of gkm, and deals them over one process per
-usable CPU (``workers.forked_map``).
+usable CPU (``workers.forked_map``).  Its jobs read restriction values from a
+store of ``column_values`` that lives for that one call; the public single
+checks (``chern_consistency``, ``gkm_check``) read pruned ``restrict``.
+Nothing here keeps a restriction value between calls.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ from typing import NamedTuple
 
 from .chart import coordinate_weight_k
 from .indexing import IsotropicIndex, bar, enumerate_isotropic, length, sigma
-# the divisible_by_* wrappers and restrict, restrict_k and restrict_h are
-# unused here but stay importable: bench/tracer.py patches them by name
+# the divisible_by_* wrappers, restrict_k and restrict_h are unused here but
+# stay importable: bench/tracer.py patches them by name
 from .laurent import (LaurentPolynomial, divisible_by_k_root,  # noqa: F401
                       divisible_by_root_h, lowest_degree_form, root_images)
-from .restriction import (PositiveRoot, _check_args, _walk, positive_roots,  # noqa: F401
+from .restriction import (PositiveRoot, column_values, positive_roots,  # noqa: F401
                           positivity_certificate, restrict, restrict_h, restrict_k)
 from .tableaux import enumerate_ssyt
 from .workers import forked_map
@@ -156,27 +159,6 @@ def billey_restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> LaurentPol
 
 
 # ---------------------------------------------------------------------------
-# restriction values, for the suites that compare against them
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _column(beta: IsotropicIndex, theory: str
-            ) -> dict[tuple[int, ...], tuple[LaurentPolynomial, int]]:
-    """beta's restriction column, shape -> (value, tableau count), walked once per process.
-
-    Every gkm row reads all 2^n columns, and the pair suites share them.
-    """
-    return dict(_walk(beta, theory))
-
-
-def _restriction(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str) -> LaurentPolynomial:
-    """The restriction value of alpha at beta, read from ``_column``."""
-    _check_args(theory, beta, alpha)
-    entry = _column(beta, theory).get(sigma(alpha))
-    return LaurentPolynomial.zero(alpha.n) if entry is None else entry[0]
-
-
-# ---------------------------------------------------------------------------
 # Stanley-Reisner union oracle
 # ---------------------------------------------------------------------------
 
@@ -281,12 +263,18 @@ def gkm_check_table(table: dict[IsotropicIndex, LaurentPolynomial], n: int,
 
 def gkm_check(alpha: IsotropicIndex, n: int, theory: str,
               corrupt: bool = False) -> SuiteReport:
-    """GKM divisibility for the full fixed-point row of one class.
+    """GKM divisibility for the full fixed-point row of one class, by pruned ``restrict``.
 
     ``corrupt`` perturbs one table value by +1 as a negative control; the
     resulting report is expected to carry failures.
     """
-    table = {b: _restriction(alpha, b, theory) for b in enumerate_isotropic(n)}
+    table = {b: restrict(alpha, b, theory).value for b in enumerate_isotropic(n)}
+    return _gkm_row(table, n, theory, corrupt)
+
+
+def _gkm_row(table: dict[IsotropicIndex, LaurentPolynomial], n: int, theory: str,
+             corrupt: bool) -> SuiteReport:
+    """``gkm_check_table`` of one row, with its largest point's value plus 1 if corrupt."""
     if corrupt:
         victim = max(table)
         table[victim] = table[victim] + 1
@@ -298,9 +286,12 @@ def gkm_check(alpha: IsotropicIndex, n: int, theory: str,
 # ---------------------------------------------------------------------------
 
 def chern_consistency(alpha: IsotropicIndex, beta: IsotropicIndex) -> bool:
-    """Lowest-order form of the K restriction equals the cohomology restriction."""
-    k_value = _restriction(alpha, beta, "K")
-    h_value = _restriction(alpha, beta, "H")
+    """Lowest-order form of the K restriction equals the cohomology restriction.
+
+    Two pruned ``restrict`` walks, one per theory.
+    """
+    k_value = restrict(alpha, beta, "K").value
+    h_value = restrict(alpha, beta, "H").value
     return lowest_degree_form(k_value, order=length(alpha)) == h_value
 
 
@@ -351,23 +342,27 @@ def _pair_column(points: list[IsotropicIndex], j: int, *checks) -> Share:
     return Share(len(points) * len(checks), failures)
 
 
-def _oracle_job(points: list[IsotropicIndex], j: int) -> Share:
+def _oracle_job(points: list[IsotropicIndex], j: int, column) -> Share:
+    k_values = column(points[j], "K")
+
     def check(a, b):
-        if _restriction(a, b, "K") != kclass_union_oracle(a, b):
+        if k_values[a] != kclass_union_oracle(a, b):
             return f"oracle mismatch at ({a}; {b})"
 
     return _pair_column(points, j, check)
 
 
-def _chern_job(points: list[IsotropicIndex], j: int) -> Share:
+def _chern_job(points: list[IsotropicIndex], j: int, column) -> Share:
+    k_values, h_values = column(points[j], "K"), column(points[j], "H")
+
     def check(a, b):
-        if not chern_consistency(a, b):
+        if lowest_degree_form(k_values[a], order=length(a)) != h_values[a]:
             return f"chern mismatch at ({a}; {b})"
 
     return _pair_column(points, j, check)
 
 
-def _positivity_job(points: list[IsotropicIndex], j: int) -> Share:
+def _positivity_job(points: list[IsotropicIndex], j: int, column) -> Share:
     checked = {"K": {}, "H": {}}  # one (x, z) -> root memo per theory, for this beta
 
     def certify(theory, a, b):
@@ -380,28 +375,30 @@ def _positivity_job(points: list[IsotropicIndex], j: int) -> Share:
                         functools.partial(certify, "H"))
 
 
-def _subword_job(points: list[IsotropicIndex], j: int) -> Share:
-    column = _subword_column(points[j])
+def _subword_job(points: list[IsotropicIndex], j: int, column) -> Share:
+    subword, h_values = _subword_column(points[j]), column(points[j], "H")
 
     def check(a, b):
-        if column[a] != _restriction(a, b, "H"):
+        if subword[a] != h_values[a]:
             return f"subword mismatch at ({a}; {b})"
 
     return _pair_column(points, j, check)
 
 
-def _gkm_job(points: list[IsotropicIndex], k: int, corrupt: bool = False) -> Share:
-    """Row k of gkm: theory H then K, alpha = points[k mod 2^n]."""
+def _gkm_job(points: list[IsotropicIndex], k: int, column, corrupt: bool = False) -> Share:
+    """Row k of gkm: theory H then K, alpha = points[k mod 2^n], read from every column."""
     t, i = divmod(k, len(points))
     theory = "HK"[t]
     alpha = points[i]
-    report = gkm_check(alpha, alpha.n, theory, corrupt=corrupt)
+    report = _gkm_row({b: column(b, theory)[alpha] for b in points}, alpha.n, theory, corrupt)
     return Share(report.checks, [(t, i, f"{theory} alpha={alpha}: {msg}")
                                  for msg in report.failures])
 
 
-# suite name -> one job of it, job(enumerate_isotropic(n), k) -> Share: beta
-# column k of a pair suite, or row k of gkm (which also takes ``corrupt``).
+# suite name -> one job of it, job(enumerate_isotropic(n), k, column) -> Share:
+# beta column k of a pair suite, or row k of gkm (which also takes
+# ``corrupt``).  column(beta, theory) maps every alpha to its restriction value
+# at beta; it is run_verification's store, and a job reads only from it.
 # run_verification looks each job up here as it runs it, so bench/tracer.py's
 # wrappers of these entries time and count process 0's jobs.
 SUITES = {
@@ -437,10 +434,11 @@ def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> lis
 
     The jobs of every named suite, beta columns of the pair suites and
     (theory, alpha) rows of gkm, go into one list, heaviest first, and one
-    ``forked_map`` deals them over one process per usable CPU, so each
-    process warms its caches once for all its jobs.  Each report is then
-    rebuilt in single-process order: alpha, beta, check for the pair suites,
-    theory then alpha for gkm.
+    ``forked_map`` deals them over one process per usable CPU.  The jobs read
+    restriction values from one store that this call owns: each process fills
+    it through ``column_values`` at most once per (beta, theory), and it goes
+    when the call returns.  Each report is then rebuilt in single-process
+    order: alpha, beta, check for the pair suites, theory then alpha for gkm.
     """
     if corrupt and "gkm" not in suites:
         raise ValueError(f"corrupt perturbs the gkm suite only, not run in {list(suites)}")
@@ -453,10 +451,14 @@ def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> lis
             for k in range((2 if name == "gkm" else 1) * len(points))]
     jobs.sort(key=lambda job: -_job_cost(job[1], job[2], sizes))
 
+    @functools.lru_cache(maxsize=None)
+    def column(beta, theory):
+        return dict(zip(points, column_values(beta, theory, points)))
+
     def run(job):
         _, name, k = job
-        share = (SUITES[name](points, k, corrupt) if name == "gkm"
-                 else SUITES[name](points, k))
+        share = (SUITES[name](points, k, column, corrupt) if name == "gkm"
+                 else SUITES[name](points, k, column))
         return share.checks, share.failures
 
     reports = [SuiteReport(name, n) for name in suites]

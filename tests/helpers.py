@@ -21,6 +21,7 @@ the Stanley-Reisner face-sum DP.
 """
 
 import functools
+import gc
 import itertools
 from math import comb
 
@@ -269,3 +270,10 @@ def inclusion_exclusion_union_class(alpha, beta):
         return signed_sum(idx + 1, union) - signed_sum(idx + 1, union | components[idx])
 
     return one - signed_sum(0, frozenset())
+
+
+def live_polynomials():
+    """(count, terms) of the LaurentPolynomial objects alive, after a full collection."""
+    gc.collect()
+    alive = [p for p in gc.get_objects() if isinstance(p, LaurentPolynomial)]
+    return len(alive), sum(len(p.terms()) for p in alive)

@@ -100,6 +100,13 @@ class TestRestrictCommand:
                   "--beta", "1,2", "--theory", "K"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("alpha,label", [("0,1", 0), ("1,5", 5)])
+    def test_out_of_range_label_named_exit_2(self, capsys, alpha, label):
+        with pytest.raises(SystemExit) as err:
+            main(["restrict", "--n", "2", "--alpha", alpha, "--beta", "1,2"])
+        assert err.value.code == 2
+        assert capsys.readouterr() == ("", f"error: label {label} out of range 1..4 for n=2\n")
+
     def test_rank_guard_allows_n7(self, capsys):
         code, out = run(capsys, "restrict", "--n", "7", "--alpha", "1,2,3,4,5,6,7",
                         "--beta", "-7,-6,-5,-4,-3,-2,-1", "--theory", "K")
@@ -489,14 +496,14 @@ class TestVerifyProcesses:
     def test_other_error_in_any_process_is_raised_as_itself(self, capsys, monkeypatch, cpus):
         use_cpus(monkeypatch, cpus)
         parent = os.getpid()
-        real = oracles.chern_consistency
+        real = oracles.lowest_degree_form
 
-        def failing(a, b):
+        def failing(p, order):
             if cpus == 1 or os.getpid() != parent:
                 raise ArithmeticError("injected check failure")
-            return real(a, b)
+            return real(p, order=order)
 
-        monkeypatch.setattr(oracles, "chern_consistency", failing)
+        monkeypatch.setattr(oracles, "lowest_degree_form", failing)
         with pytest.raises(ArithmeticError, match="injected check failure"):
             main(["verify", "--n", "3", "--suite", "chern"])
         assert capsys.readouterr().out == ""

@@ -206,8 +206,11 @@ class TestNormalization:
     (lambda: IsotropicIndex(0, ()), "rank must be"),
     (lambda: IsotropicIndex.from_signed(2, (3, 1)), "out of range"),
     (lambda: IsotropicIndex.from_signed(2, (0, 1)), "out of range"),
+    (lambda: IsotropicIndex(2, (0, 1)), "label 0 out of range 1..4"),
+    (lambda: IsotropicIndex(2, (1, 5)), "label 5 out of range 1..4"),
     (lambda: idx(1, 1) < idx(2, 1, 2), "different rank"),
-], ids=["rank-0", "signed-too-big", "signed-zero", "compare-ranks"])
+], ids=["rank-0", "signed-too-big", "signed-zero", "label-zero", "label-too-big",
+        "compare-ranks"])
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -1,3 +1,9 @@
+import ast
+import gc
+import os
+import weakref
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +12,7 @@ from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, Positiv
                     divisible_by_root_h, enumerate_isotropic, gkm_check,
                     gkm_check_table, gkm_edges, kclass_union_oracle, length,
                     lowest_degree_form, positivity_certificate, reduced_word, reflect,
-                    restrict, restrict_h, restrict_k, run_verification, sigma)
+                    restrict, restrict_h, restrict_k, run_verification)
 from lgrass import oracles, restriction
 from lgrass.laurent import root_images
 
@@ -17,19 +23,18 @@ ALPHA = IsotropicIndex(3, (1, 3, 5))
 BETA = IsotropicIndex(3, (3, 5, 6))
 
 
-def perturb_memo(monkeypatch, theory, alpha, beta):
-    """Make the suites' restriction memo read the value at (alpha, beta) plus 1, there only."""
-    real = oracles._column
+def perturb_column_values(monkeypatch, theory, alpha, beta):
+    """Make the suites' ``column_values`` read the value at (alpha, beta) plus 1, there only."""
+    real = oracles.column_values
 
-    def perturbed(b, t):
-        column = real(b, t)
+    def perturbed(b, t, alphas):
+        alphas = list(alphas)
+        values = real(b, t, alphas)
         if (b, t) == (beta, theory):
-            column = dict(column)
-            value, count = column.get(sigma(alpha), (LaurentPolynomial.zero(b.n), 0))
-            column[sigma(alpha)] = (value + 1, count)
-        return column
+            values = [v + 1 if a == alpha else v for a, v in zip(alphas, values)]
+        return values
 
-    monkeypatch.setattr(oracles, "_column", perturbed)
+    monkeypatch.setattr(oracles, "column_values", perturbed)
 
 
 class TestWeylGroup:
@@ -113,7 +118,7 @@ class TestSubwordColumn:
     def test_perturbed_restriction_reported_once(self, monkeypatch):
         points = enumerate_isotropic(3)
         victim = (points[2], points[5])
-        perturb_memo(monkeypatch, "H", *victim)
+        perturb_column_values(monkeypatch, "H", *victim)
         report = run_verification(3, ("subword",))[0]
         assert report.checks == 64
         assert report.failures == [f"subword mismatch at ({victim[0]}; {victim[1]})"]
@@ -153,7 +158,7 @@ class TestUnionOracle:
     def test_perturbed_restriction_reported_once(self, monkeypatch):
         points = enumerate_isotropic(4)
         victim = (points[5], points[11])
-        perturb_memo(monkeypatch, "K", *victim)
+        perturb_column_values(monkeypatch, "K", *victim)
         report = run_verification(4, ("oracle",))[0]
         assert report.checks == 256
         assert report.failures == [f"oracle mismatch at ({victim[0]}; {victim[1]})"]
@@ -353,7 +358,7 @@ class TestChern:
     def test_perturbed_restriction_reported_once(self, monkeypatch):
         points = enumerate_isotropic(3)
         victim = (points[3], points[6])
-        perturb_memo(monkeypatch, "H", *victim)
+        perturb_column_values(monkeypatch, "H", *victim)
         report = run_verification(3, ("chern",))[0]
         assert report.checks == 64
         assert report.failures == [f"chern mismatch at ({victim[0]}; {victim[1]})"]
@@ -391,6 +396,69 @@ class TestSuites:
         data = report.to_json()
         assert data["suite"] == "chern" and data["ok"] is True
         assert data["checks"] == 4
+
+
+class TestRestrictionReads:
+    """The suites read one store per run_verification call; single checks walk pruned."""
+
+    def test_each_run_walks_every_column_once(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        real = oracles.column_values
+        walked = []
+
+        def counted(beta, theory, alphas):
+            walked.append((beta, theory))
+            return real(beta, theory, alphas)
+
+        monkeypatch.setattr(oracles, "column_values", counted)
+        every = {(b, t) for b in enumerate_isotropic(3) for t in "KH"}
+        for _ in range(2):  # a second run walks again: nothing outlives the first
+            walked.clear()
+            assert run_verification(3, ("gkm",))[0].ok
+            assert len(walked) == 16 and set(walked) == every
+
+    def test_run_drops_every_value_it_read(self, monkeypatch):
+        class Tracked(LaurentPolynomial):
+            __slots__ = ("__weakref__",)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        real = oracles.column_values
+        refs = []
+
+        def tracked(beta, theory, alphas):
+            values = [Tracked(v.n, v.terms()) for v in real(beta, theory, alphas)]
+            refs.extend(weakref.ref(v) for v in values)
+            return values
+
+        monkeypatch.setattr(oracles, "column_values", tracked)
+        assert all(r.ok for r in run_verification(3))
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+
+    def test_single_checks_walk_pruned(self, monkeypatch):
+        real = restriction._walk
+        targets = []
+
+        def recorded(beta, theory, target=None):
+            targets.append(target)
+            return real(beta, theory, target)
+
+        monkeypatch.setattr(restriction, "_walk", recorded)
+        points = enumerate_isotropic(3)
+        for a in points:
+            for b in points:
+                assert chern_consistency(a, b)
+        for theory in ("K", "H"):
+            assert gkm_check(points[3], 3, theory).ok
+        assert targets and None not in targets
+
+    def test_no_private_name_imported_from_restriction(self):
+        tree = ast.parse(Path(oracles.__file__).read_text())
+        private = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").rpartition(".")[2] == "restriction"
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
 
 
 @pytest.mark.parametrize("oracle", [billey_restrict_h, kclass_union_oracle])
