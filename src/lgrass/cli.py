@@ -4,23 +4,28 @@ Subcommands: restrict, table, models, render, chart, verify.  Fixed-point
 indices are written as signed lists ("3,-2,-1" means {3, bar(2), bar(1)});
 raw labels in 1..2n are accepted too.  Exit codes: 0 ok, 1 verification
 failure, 2 usage error.
+
+Importing this module and parsing the arguments loads only the restriction
+path (indexing, tableaux, laurent, chart, restriction, workers).  A command
+imports the rest where it runs: ``verify`` imports ``oracles``; ``models``,
+``render`` and the matrix of ``chart`` import ``models`` or ``render``; the
+CSV form of ``table`` imports ``csv``.  A cold run without cached bytecode
+compiles every module it imports, so what ``table`` never runs it never
+compiles.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
-from . import render
 from .chart import ChartIndexSet, coordinate_weight_h, coordinate_weight_k
 from .indexing import (IsotropicIndex, check_strict, enumerate_isotropic, is_symmetric,
                        normalize_partition, sigma)
 from .laurent import LaurentPolynomial
-from .models import MODEL_NAMES, enumerate_model
-from .oracles import run_verification
 from .restriction import column_values, restrict
+from .tableaux import MODEL_NAMES
 from .workers import forked_map
 
 # Largest n per table theory, from measured cost on 2 shared Xeon cores, where
@@ -121,6 +126,7 @@ def _cmd_table(args) -> int:
             out.write(f"{', ' if i else ''}{keys[i]}: {{{cells}}}")
         out.write("}}\n")
     else:
+        import csv
         writer = csv.writer(out)
         writer.writerow(["alpha\\beta"] + [str(b) for b in points])
         for i, a in enumerate(points):
@@ -137,6 +143,7 @@ def _model_json(name, item):
 
 
 def _cmd_models(args) -> int:
+    from .models import enumerate_model
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     names = MODEL_NAMES if args.which == "all" else (args.which,)
@@ -157,6 +164,8 @@ def _cmd_models(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render
+    from .models import enumerate_model
     out = []
     if args.rho is not None:
         eta = normalize_partition(int(tok) for tok in args.rho.split(",") if tok.strip())
@@ -189,8 +198,11 @@ def _cmd_render(args) -> int:
                     out.append(ascii_of[name](item))
     text = "\n".join(out) + "\n"
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
     else:
         print(text, end="")
     return 0
@@ -213,11 +225,13 @@ def _cmd_chart(args) -> int:
         return 0
     print(f"beta = {beta}   |R_beta| = {len(index_set)}")
     print("pairs:", " ".join(f"({a},{b})" for a, b in index_set))
-    print(render.ascii_chart_matrix(beta))
+    from .render import ascii_chart_matrix
+    print(ascii_chart_matrix(beta))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .oracles import run_verification
     suites = tuple(VERIFY_RANK_LIMITS) if args.suite == "all" else (args.suite,)
     limit = min(VERIFY_RANK_LIMITS[name] for name in suites)
     if args.n > limit:

@@ -10,8 +10,8 @@ shifted objects by deleting everything below the main diagonal.
 from __future__ import annotations
 
 from .indexing import check_strict, is_symmetric, normalize_partition, rho, symmetric_double
-from .tableaux import (SetValuedShiftedTableau, ShiftedDiagram, enumerate_ssyt,
-                       is_on, is_semistandard)
+from .tableaux import (MODEL_NAMES, SetValuedShiftedTableau, ShiftedDiagram,
+                       enumerate_ssyt, is_on, is_semistandard)
 
 
 class DiagramSubset:
@@ -156,9 +156,6 @@ def subset_to_family(d: DiagramSubset) -> PathFamily:
 def family_to_subset(f: PathFamily) -> DiagramSubset:
     """The complementary subset of a path family."""
     return DiagramSubset(f.mu, set(ShiftedDiagram(f.mu).boxes()) - f.support)
-
-
-MODEL_NAMES = ("tableaux", "subsets", "families")
 
 
 def enumerate_model(lam, mu, which: str) -> list:

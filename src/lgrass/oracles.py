@@ -30,7 +30,6 @@ Nothing here keeps a restriction value between calls.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .chart import coordinate_weight_k
@@ -203,8 +202,7 @@ def kclass_union_oracle(alpha: IsotropicIndex, beta: IsotropicIndex,
 # moment graph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GkmEdge:
+class GkmEdge(NamedTuple):
     beta1: IsotropicIndex
     beta2: IsotropicIndex
     root: PositiveRoot
@@ -250,15 +248,14 @@ def gkm_check_table(table: dict[IsotropicIndex, LaurentPolynomial], n: int,
     """
     if theory == "H" and any(p.has_negative_exponent() for p in table.values()):
         raise ValueError("cohomology divisibility needs nonnegative exponents")
-    report = SuiteReport("gkm", n)
-    for edge, images in _edge_images(n, theory):
+    edges = _edge_images(n, theory)
+    failures = []
+    for edge, images in edges:
         p1, p2 = table[edge.beta1], table[edge.beta2]
-        report.checks += 1
         if p1 != p2 and any(p1._substitute(*args) != p2._substitute(*args)
                             for args in images):
-            report.failures.append(
-                f"edge {edge.beta1}|{edge.beta2} root {edge.root}")
-    return report
+            failures.append(f"edge {edge.beta1}|{edge.beta2} root {edge.root}")
+    return SuiteReport("gkm", n, len(edges), failures)
 
 
 def gkm_check(alpha: IsotropicIndex, n: int, theory: str,
@@ -299,12 +296,12 @@ def chern_consistency(alpha: IsotropicIndex, beta: IsotropicIndex) -> bool:
 # verification suites
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
+    """The outcome of one suite at rank n: its check count and failure messages."""
     suite: str
     n: int
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    checks: int
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
@@ -461,15 +458,14 @@ def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> lis
                  else SUITES[name](points, k, column))
         return share.checks, share.failures
 
-    reports = [SuiteReport(name, n) for name in suites]
+    counts = [0] * len(suites)
     tagged = [[] for _ in suites]
     for (p, _, _), (checks, failures) in zip(jobs, forked_map(run, jobs)):
-        reports[p].checks += checks
+        counts[p] += checks
         tagged[p].extend(failures)
-    for report, failures in zip(reports, tagged):
-        # stable: the failures of one gkm row share a tag and keep their order
-        report.failures = [f[-1] for f in sorted(failures, key=lambda f: f[:-1])]
-    return reports
+    # stable: the failures of one gkm row share a tag and keep their order
+    return [SuiteReport(name, n, checks, [f[-1] for f in sorted(failures, key=lambda f: f[:-1])])
+            for name, checks, failures in zip(suites, counts, tagged)]
 
 
 # unused here but stays importable: bench/tracer.py patches it by name

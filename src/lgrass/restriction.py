@@ -39,8 +39,7 @@ all of it, ``restrict`` only the prefixes of sigma(alpha).  Nothing is cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # enumerate_isotropic, length and tableau_cut_pairs are unused here but stay
 # importable: bench/tracer.py patches them by name
@@ -52,8 +51,7 @@ from .laurent import LaurentPolynomial, check_theory
 from .tableaux import enumerate_ssvt, enumerate_ssyt
 
 
-@dataclass(frozen=True)
-class RestrictionResult:
+class RestrictionResult(NamedTuple):
     """A computed restriction: the exact class and the number of tableaux summed."""
 
     alpha: IsotropicIndex
@@ -63,27 +61,25 @@ class RestrictionResult:
     term_count: int
 
 
-@dataclass(frozen=True)
-class PositiveRoot:
+class PositiveRoot(NamedTuple("PositiveRoot", [("kind", str), ("i", int), ("j", int)])):
     """A positive root of type C_n: t_i - t_j, t_i + t_j (i < j <= n), or 2t_i.
 
-    Stored in the standard (upper Borel) normal form; the restriction factors
-    equal minus this form in cohomology, matching positivity for the opposite
-    Borel.
+    ``kind`` is "diff", "sum" or "double".  Stored in the standard (upper
+    Borel) normal form; the restriction factors equal minus this form in
+    cohomology, matching positivity for the opposite Borel.
     """
 
-    kind: str  # "diff", "sum", or "double"
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("diff", "sum", "double"):
-            raise ValueError(f"unknown root kind {self.kind}")
-        if self.kind == "double":
-            if self.i != self.j:
+    def __new__(cls, kind: str, i: int, j: int):
+        if kind not in ("diff", "sum", "double"):
+            raise ValueError(f"unknown root kind {kind}")
+        if kind == "double":
+            if i != j:
                 raise ValueError("2t_i roots need i == j")
-        elif not self.i < self.j:
-            raise ValueError(f"need i < j in {self}")
+        elif not i < j:
+            raise ValueError(f"need i < j in t{i}{'-' if kind == 'diff' else '+'}t{j}")
+        return super().__new__(cls, kind, i, j)
 
     def form_h(self, n: int) -> LaurentPolynomial:
         """The root as a linear form in t_1..t_n."""

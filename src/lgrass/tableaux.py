@@ -13,6 +13,10 @@ from typing import Iterator, NamedTuple
 
 from .indexing import check_strict, transpose
 
+# the three equivalent models of ``models.enumerate_model``, in listing order;
+# defined here so that the CLI parser has them without importing ``models``
+MODEL_NAMES = ("tableaux", "subsets", "families")
+
 
 class ShiftedDiagram:
     """Staircase array of boxes for a strict partition."""

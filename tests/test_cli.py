@@ -249,6 +249,24 @@ class TestTableCommand:
         assert not loaded & {"multiprocessing", "pickle", "threading", "concurrent"}
 
 
+def readme_examples():
+    """The argv of each line of the README's "Command line" block."""
+    readme = os.path.join(os.path.dirname(SRC), "README.md")
+    with open(readme) as handle:
+        block = handle.read().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("lgrass ")]
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_example_runs_cold(argv):
+    # a fresh interpreter: a command's own imports run only there
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "lgrass.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
 class TestModelsCommand:
     def test_counts(self, capsys):
         code, out = run(capsys, "models", "--lam", "3,1", "--mu", "5,3,2,1")
@@ -339,6 +357,16 @@ class TestRenderCommand:
                       "--output", str(target))
         assert code == 0
         assert target.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_output_cannot_be_opened_exit_2(self, tmp_path, capsys, where):
+        target = tmp_path / "absent" / "fig.svg" if where == "missing-directory" else tmp_path
+        with pytest.raises(SystemExit) as err:
+            main(["render", "--rho", "3,2,1", "--output", str(target)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --output {target}: ")
 
     @pytest.mark.parametrize("argv,digest", [
         (("--lam", "3,1", "--mu", "5,3,2,1"),

@@ -185,6 +185,8 @@ class TestGkmGraph:
         edges = gkm_edges(3)
         assert isinstance(edges, tuple)
         assert gkm_edges(3) is edges
+        with pytest.raises(AttributeError):
+            edges[0].root = PositiveRoot("double", 1, 1)
 
     def test_reflection_action(self):
         # brute-force label images for one reflection: t1+t2 swaps 1<->bar(2)

@@ -180,6 +180,21 @@ class TestPositiveRoots:
         with pytest.raises(ValueError, match=match):
             PositiveRoot(kind, i, j)
 
+    def test_equal_roots_hash_equal(self):
+        a, b = PositiveRoot("sum", 1, 3), PositiveRoot("sum", 1, 3)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b, PositiveRoot("diff", 1, 3)}) == 2
+        assert str(a) == "t1+t3"
+
+
+@pytest.mark.parametrize("value,field", [
+    (PositiveRoot("diff", 1, 2), "i"),
+    (restrict(ALPHA, BETA, "H"), "value"),
+], ids=["PositiveRoot", "RestrictionResult"])
+def test_fields_read_only(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
 
 def restriction_table(n, theory):
     points = enumerate_isotropic(n)
