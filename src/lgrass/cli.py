@@ -32,9 +32,11 @@ from .workers import forked_map
 # `table` builds and renders its columns in one process per usable CPU: a cold
 # `table --n 6 --theory K --out json` takes 4.4-5.1 s and 218 MB in its largest
 # process (8.5-11 s and 340 MB on one process, before the one-pass Laurent
-# kernels; n=7 K was not run: n=6 already holds 2.58 M monomials, and one n=7 K
-# column peaks at 3.0 GB), and a cold `table --n 7 --theory H --out csv` 28 s
-# and 672 MB, most of it formatting 10.2 M monomials.
+# kernels; n=7 K was not run: n=6 already holds 2.58 M monomials, and the n=7
+# w0 K column peaks at 404 MB when each shape is dropped as the depth-first walk
+# yields it, but at 1 658 MB through `column_values`, which keeps the whole
+# column), and a cold `table --n 7 --theory H --out csv` 28 s and 672 MB, most
+# of it formatting 10.2 M monomials.
 TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # Largest n for `restrict`, which walks beta's DP only along the prefixes of
 # sigma(alpha).  Cold `restrict --n 7 --beta=-7,-6,-5,-4,-3,-2,-1` on 2 shared
@@ -58,24 +60,27 @@ RESTRICT_RANK_LIMIT = 7
 VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 6, "positivity": 6, "subword": 6}
 
 
+def parse_ints(text: str) -> list[int]:
+    """The integers of a list flag: "3,2,1", "[3,2,1]" and "3,2,1," are one list."""
+    body = text.strip()
+    if body[:1] == "[" and body[-1:] == "]":
+        body = body[1:-1]
+    try:
+        return [int(tok) for tok in body.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"cannot parse {text!r} as a comma-separated list of integers") from None
+
+
 def parse_index(text: str, n: int) -> IsotropicIndex:
     """Signed-list syntax (negative k is bar(k)); raw 1..2n labels also accepted."""
-    try:
-        tokens = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse index {text!r}: {exc}") from None
+    tokens = parse_ints(text)
     if any(tok < 0 for tok in tokens):
-        return IsotropicIndex.from_signed(n, tokens)
-    if all(1 <= tok <= n for tok in tokens):
         return IsotropicIndex.from_signed(n, tokens)
     return IsotropicIndex(n, tokens)
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
-    text = text.strip().strip("[]")
-    if not text:
-        return ()
-    return check_strict(int(tok) for tok in text.split(","))
+    return check_strict(parse_ints(text))
 
 
 def _cmd_restrict(args) -> int:
@@ -134,14 +139,6 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _model_json(name, item):
-    if name == "tableaux":
-        return item.to_json()
-    if name == "subsets":
-        return [{"row": r, "col": c} for r, c in item.members]
-    return [[{"row": r, "col": c} for r, c in path] for path in item.paths]
-
-
 def _cmd_models(args) -> int:
     from .models import enumerate_model
     lam = parse_partition(args.lam)
@@ -150,8 +147,7 @@ def _cmd_models(args) -> int:
     if args.json:
         payload = {"lam": list(lam), "mu": list(mu)}
         for name in names:
-            items = enumerate_model(lam, mu, name)
-            payload[name] = [_model_json(name, item) for item in items]
+            payload[name] = [item.to_json() for item in enumerate_model(lam, mu, name)]
         print(json.dumps(payload))
         return 0
     for name in names:
@@ -168,7 +164,7 @@ def _cmd_render(args) -> int:
     from .models import enumerate_model
     out = []
     if args.rho is not None:
-        eta = normalize_partition(int(tok) for tok in args.rho.split(",") if tok.strip())
+        eta = normalize_partition(parse_ints(args.rho))
         if not is_symmetric(eta):
             raise ValueError(f"--rho {args.rho} is not a symmetric partition")
         out.append(render.svg_rho_figure(eta) if args.format == "svg"

@@ -228,6 +228,8 @@ class LaurentPolynomial:
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPolynomial.constant(self.n, other)
+        elif not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         return LaurentPolynomial.sum_of(self.n, (self, other))
 
     __radd__ = __add__
@@ -246,6 +248,8 @@ class LaurentPolynomial:
         if isinstance(other, int):
             terms = {k: c * other for k, c in self._terms.items()} if other else {}
             return LaurentPolynomial._of(self.n, terms, self._bound)
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         return LaurentPolynomial.sum_of_products(self.n, ((self, other),))
 
     __rmul__ = __mul__

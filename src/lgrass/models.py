@@ -10,11 +10,11 @@ shifted objects by deleting everything below the main diagonal.
 from __future__ import annotations
 
 from .indexing import check_strict, is_symmetric, normalize_partition, rho, symmetric_double
-from .tableaux import (MODEL_NAMES, SetValuedShiftedTableau, ShiftedDiagram,
+from .tableaux import (MODEL_NAMES, SetValuedShiftedTableau, ShiftedDiagram, _SlotValue,
                        enumerate_ssyt, is_on, is_semistandard)
 
 
-class DiagramSubset:
+class DiagramSubset(_SlotValue):
     """A subset of the boxes (row, absolute column) of a shifted diagram."""
 
     __slots__ = ("mu", "members")
@@ -31,18 +31,11 @@ class DiagramSubset:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DiagramSubset)
-                and self.mu == other.mu and self.members == other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.mu, self.members))
-
-    def __repr__(self) -> str:
-        return f"DiagramSubset(mu={self.mu}, members={self.members})"
+    def to_json(self) -> list[dict]:
+        return [{"row": r, "col": c} for r, c in self.members]
 
 
-class PathFamily:
+class PathFamily(_SlotValue):
     """Disjoint up/right paths covering the complement of a diagram subset."""
 
     __slots__ = ("mu", "paths")
@@ -70,15 +63,8 @@ class PathFamily:
     def __len__(self) -> int:
         return len(self.paths)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PathFamily)
-                and self.mu == other.mu and self.paths == other.paths)
-
-    def __hash__(self) -> int:
-        return hash((self.mu, self.paths))
-
-    def __repr__(self) -> str:
-        return f"PathFamily(mu={self.mu}, paths={self.paths})"
+    def to_json(self) -> list[list[dict]]:
+        return [[{"row": r, "col": c} for r, c in path] for path in self.paths]
 
 
 def tableau_to_subset(p: SetValuedShiftedTableau, mu) -> DiagramSubset:
@@ -171,7 +157,7 @@ def enumerate_model(lam, mu, which: str) -> list:
     return [subset_to_family(d) for d in subsets]
 
 
-class SymmetricTableau:
+class SymmetricTableau(_SlotValue):
     """A semistandard filling of a symmetric Young diagram with P_ij - i = P_ji - j."""
 
     __slots__ = ("shape", "grid")
@@ -199,13 +185,6 @@ class SymmetricTableau:
     def __getitem__(self, box) -> int:
         i, j = box
         return self.grid[i - 1][j - 1]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SymmetricTableau)
-                and self.shape == other.shape and self.grid == other.grid)
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.grid))
 
     def __repr__(self) -> str:
         return f"SymmetricTableau({self.shape}, {self.grid})"
@@ -240,7 +219,7 @@ def fold_symmetric(q: SymmetricTableau) -> SetValuedShiftedTableau:
         lam, {box: (q[box],) for box in ShiftedDiagram(lam).boxes()})
 
 
-class SymmetricDiagramSubset:
+class SymmetricDiagramSubset(_SlotValue):
     """A reflection-stable subset of a symmetric Young diagram."""
 
     __slots__ = ("eta", "members")
@@ -257,16 +236,6 @@ class SymmetricDiagramSubset:
             if (j, i) not in boxes:
                 raise ValueError(f"subset is not symmetric at {(i, j)}")
         self.members = members
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SymmetricDiagramSubset)
-                and self.eta == other.eta and self.members == other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.eta, self.members))
-
-    def __repr__(self) -> str:
-        return f"SymmetricDiagramSubset(eta={self.eta}, members={self.members})"
 
 
 def double_subset(d: DiagramSubset) -> SymmetricDiagramSubset:

@@ -57,13 +57,11 @@ def ascii_family(f: PathFamily) -> str:
     return _shifted_rows(f.mu, lambda r, c: label.get((r, c), " "), "(empty diagram)")
 
 
-def ascii_young_diagram(eta, shaded=None) -> str:
+def ascii_young_diagram(eta) -> str:
     eta = normalize_partition(eta)
     if not eta:
         return "(empty diagram)"
-    shaded = set(map(tuple, shaded or ()))
-    spans = [(1, part) for part in eta]
-    return _cell_rows(spans, lambda r, c: "##" if (r, c) in shaded else "  ")
+    return _cell_rows([(1, part) for part in eta], lambda r, c: "  ")
 
 
 def ascii_rho_figure(eta) -> str:

@@ -18,7 +18,30 @@ from .indexing import check_strict, transpose
 MODEL_NAMES = ("tableaux", "subsets", "families")
 
 
-class ShiftedDiagram:
+class _SlotValue:
+    """Equality, hashing and a ``Name(field=value, ...)`` repr read off ``__slots__``.
+
+    Two objects are equal only when they have the same type and equal slot
+    values; the hash is the hash of the slot-value tuple.
+    """
+
+    __slots__ = ()
+
+    def _slot_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._slot_values() == other._slot_values()
+
+    def __hash__(self) -> int:
+        return hash(self._slot_values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class ShiftedDiagram(_SlotValue):
     """Staircase array of boxes for a strict partition."""
 
     __slots__ = ("shape",)
@@ -38,12 +61,6 @@ class ShiftedDiagram:
     def __len__(self) -> int:
         return sum(self.shape)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ShiftedDiagram) and self.shape == other.shape
-
-    def __hash__(self) -> int:
-        return hash(self.shape)
-
     def __repr__(self) -> str:
         return f"ShiftedDiagram({self.shape})"
 
@@ -61,7 +78,7 @@ def entry_context(x: int, r: int, c: int) -> EntryContext:
     return EntryContext(x, r, c, x + c - r)
 
 
-class SetValuedShiftedTableau:
+class SetValuedShiftedTableau(_SlotValue):
     """Nonempty sets of positive integers on the boxes of a shifted diagram.
 
     ``rows[r-1][j-1]`` is the sorted entry tuple of the j-th box of row r
@@ -119,14 +136,8 @@ class SetValuedShiftedTableau:
         return [{"row": r, "col": c, "entries": list(box)}
                 for r, c, box in self.cells()]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SetValuedShiftedTableau) and self.rows == other.rows
-
     def __lt__(self, other) -> bool:
         return self.rows < other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         body = "/".join("|".join(",".join(map(str, box)) for box in row)

@@ -60,10 +60,36 @@ class TestParsing:
     def test_partition(self):
         assert parse_partition("[3,2]") == (3, 2)
         assert parse_partition("") == ()
+        assert parse_partition(" [3, 2, ] ") == (3, 2)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
             parse_index("1,x", 2)
+
+    @pytest.mark.parametrize("same,base", [
+        (("models", "--lam", "2,", "--mu", "3,1"), ("models", "--lam", "2", "--mu", "3,1")),
+        (("models", "--lam", "2", "--mu", "[3,1]"), ("models", "--lam", "2", "--mu", "3,1")),
+        (("render", "--rho", "[3,2,1]"), ("render", "--rho", "3,2,1")),
+        (("render", "--rho", "3,1,1,"), ("render", "--rho", "3,1,1")),
+        (("restrict", "--n", "2", "--alpha", "[1,2]", "--beta", "-2,-1,"),
+         ("restrict", "--n", "2", "--alpha", "1,2", "--beta", "-2,-1")),
+        (("chart", "--n", "3", "--beta", "[3,-2,-1]"), ("chart", "--n", "3", "--beta", "3,-2,-1")),
+    ], ids=["lam-trailing-comma", "mu-brackets", "rho-brackets", "rho-trailing-comma",
+            "alpha-brackets", "beta-brackets"])
+    def test_every_list_flag_reads_one_syntax(self, capsys, same, base):
+        assert run(capsys, *same) == run(capsys, *base)
+
+    @pytest.mark.parametrize("argv,text", [
+        (("models", "--lam", "2,x", "--mu", "3,1"), "2,x"),
+        (("render", "--rho", "3,,y"), "3,,y"),
+        (("restrict", "--n", "2", "--alpha", "1,2", "--beta", "[-2,-1"), "[-2,-1"),
+    ])
+    def test_unparsable_list_named_exit_2(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot parse {text!r} as a comma-separated list of integers\n")
 
 
 class TestRestrictCommand:

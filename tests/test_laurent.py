@@ -58,6 +58,15 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             LaurentPolynomial.one(2) + LaurentPolynomial.one(3)
 
+    @pytest.mark.parametrize("expr", [lambda p: p + 2.0, lambda p: 2.0 + p,
+                                      lambda p: p * 2.5, lambda p: 2.5 * p,
+                                      lambda p: p - 2.0, lambda p: p + "x"],
+                             ids=["p+2.0", "2.0+p", "p*2.5", "2.5*p", "p-2.0", "p+str"])
+    def test_foreign_operand_type_error(self, expr):
+        # neither an int nor a polynomial: Python's TypeError, not an AttributeError
+        with pytest.raises(TypeError):
+            expr(var(1) + 1)
+
     def test_pow(self):
         t1 = LaurentPolynomial.var(2, 1)
         assert (t1 - 1) ** 2 == P(2, {(2, 0): 1, (1, 0): -2, (0, 0): 1})

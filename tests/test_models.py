@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from lgrass import (DiagramSubset, PathFamily, SetValuedShiftedTableau,
+from lgrass import (DiagramSubset, PathFamily, SetValuedShiftedTableau, ShiftedDiagram,
                     SymmetricDiagramSubset, SymmetricTableau, double_subset,
                     enumerate_model, enumerate_ssyt, family_to_subset,
                     fold_subset, fold_symmetric, subset_to_family,
@@ -98,7 +101,6 @@ class TestSubsetToFamily:
         assert fam.paths == paths
 
     def test_full_subset_empty_family(self):
-        from lgrass import ShiftedDiagram
         full = DiagramSubset((2, 1), ShiftedDiagram((2, 1)).boxes())
         assert subset_to_family(full).paths == ()
 
@@ -188,6 +190,46 @@ class TestSymmetricDoubling:
     def test_trailing_empty_grid_rows_dropped(self):
         # the shape drops its trailing zero part, so the grid drops its empty row
         assert SymmetricTableau((1, 0), ((1,), ())) == SymmetricTableau((1,), ((1,),))
+
+
+class TestValueTypes:
+    def test_equal_slots_of_another_type_are_unequal(self):
+        d = DiagramSubset((1,), {(1, 1)})
+        assert d != SymmetricDiagramSubset((1,), {(1, 1)})
+        assert DiagramSubset((1,), ()) != PathFamily((1,), ())
+
+    @pytest.mark.parametrize("build", [
+        lambda: ShiftedDiagram((3, 1)),
+        lambda: tab(((1,), (1, 2)), ((2,),)),
+        lambda: DiagramSubset(MU, {(1, 1), (2, 3)}),
+        lambda: PathFamily((2, 1), [[(2, 2), (1, 2)]]),
+        lambda: SymmetricTableau((2, 1), ((1, 2), (3,))),
+        lambda: SymmetricDiagramSubset((2, 1), {(1, 2), (2, 1)}),
+    ], ids=["diagram", "tableau", "subset", "family", "sym-tableau", "sym-subset"])
+    def test_equal_values_hash_equal(self, build):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_reprs(self):
+        assert repr(ShiftedDiagram((2, 1))) == "ShiftedDiagram((2, 1))"
+        assert repr(tab(((1,), (1, 2)))) == "<tableau 1|1,2>"
+        assert (repr(DiagramSubset((2,), {(1, 2)}))
+                == "DiagramSubset(mu=(2,), members=((1, 2),))")
+        assert (repr(PathFamily((1,), [[(1, 1)]]))
+                == "PathFamily(mu=(1,), paths=(((1, 1),),))")
+        assert repr(SymmetricTableau((1,), ((1,),))) == "SymmetricTableau((1,), ((1,),))"
+        assert (repr(SymmetricDiagramSubset((2, 1), {(1, 2), (2, 1)}))
+                == "SymmetricDiagramSubset(eta=(2, 1), members=((1, 2), (2, 1)))")
+
+    def test_to_json_gives_the_pinned_models_json(self):
+        # the bytes `lgrass models --lam 3,1 --mu 5,3,2,1 --json` is pinned to
+        payload = {"lam": list(LAM), "mu": list(MU)}
+        for name in ("tableaux", "subsets", "families"):
+            payload[name] = [item.to_json() for item in enumerate_model(LAM, MU, name)]
+        text = json.dumps(payload) + "\n"
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "00ddac6a6edb83e82db39318ac28218dae6782f6851227604dc4ec0c3c969abd")
 
 
 @pytest.mark.parametrize("build,match", [
