@@ -21,8 +21,8 @@ import json
 import sys
 
 from .chart import ChartIndexSet, coordinate_weight_h, coordinate_weight_k
-from .indexing import (IsotropicIndex, check_strict, enumerate_isotropic, is_symmetric,
-                       normalize_partition, sigma)
+from .indexing import (IsotropicIndex, check_strict, enumerate_isotropic, heaviest_first,
+                       is_symmetric, normalize_partition)
 from .laurent import LaurentPolynomial
 from .restriction import column_values, restrict
 from .tableaux import MODEL_NAMES
@@ -49,15 +49,16 @@ TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 RESTRICT_RANK_LIMIT = 7
 # Largest n per verify suite, from cold CLI runs on 2 shared Xeon cores, where
 # `verify` deals its beta columns and gkm rows over one process per usable CPU
-# (time, then peak RSS of the largest process): `--n 6 --suite gkm` 20-26 s and
-# 298 MB (86 016 edge checks; every process builds all n=6 K and H columns;
+# (time, then peak RSS of the largest process): `--n 6 --suite gkm` 19-25 s and
+# 304 MB (86 016 edge checks; every process builds all n=6 K and H columns;
 # 6 runs), `--suite positivity` 2.6-2.7 s and 21 MB (8 192 certificates),
 # `--suite subword` 0.5-0.6 s and 35 MB, `--suite chern` 37-40 s and 164 MB
-# (4 096 checks, 2 runs).  `--n 5 --suite oracle` takes 1.5-2.0 s and 32 MB,
-# `--suite all` at n=5 2.6-3.2 s and 28 MB; the oracle's face-sum DP over all
-# n=6 pairs took 367-384 s on one process, so it stays at n <= 5.  --suite
-# all takes the minimum, so it stays at 5 because of oracle.
-VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 6, "positivity": 6, "subword": 6}
+# (4 096 checks, 2 runs), and `--n 7 --suite positivity` 37-41 s and 42 MB
+# (32 768 certificates, 2 runs).  `--n 5 --suite oracle` takes 1.5-2.0 s and
+# 32 MB, `--suite all` at n=5 2.1-3.4 s and 31 MB; the oracle's face-sum DP
+# over all n=6 pairs took 367-384 s on one process, so it stays at n <= 5.
+# --suite all takes the minimum, so it stays at 5 because of oracle.
+VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 6, "positivity": 7, "subword": 6}
 
 
 def parse_ints(text: str) -> list[int]:
@@ -116,8 +117,7 @@ def _cmd_table(args) -> int:
     def column_cells(j):
         return [text_of(value, memo) for value in column_values(points[j], args.theory, points)]
 
-    # heaviest columns first, so the deal ends on the light ones
-    order = sorted(range(len(points)), key=lambda j: -sum(sigma(points[j])))
+    order = heaviest_first(points)
     columns = [cells for _, cells in sorted(zip(order, forked_map(column_cells, order)))]
     out = sys.stdout
     if args.out == "json":

@@ -192,6 +192,15 @@ def length(alpha: IsotropicIndex) -> int:
     return sum(sigma(alpha))
 
 
+def heaviest_first(points: list[IsotropicIndex]) -> list[int]:
+    """The indices of points by descending ``length``, ties in list order.
+
+    ``table`` and ``verify`` deal their jobs in this order, so that each deal
+    ends on the light ones.
+    """
+    return sorted(range(len(points)), key=lambda i: -length(points[i]))
+
+
 def eta_of(beta: IsotropicIndex) -> tuple[int, ...]:
     """pi(beta) computed by counting: eta_j = #{i : beta'(i) < beta(n+1-j)}."""
     n = beta.n

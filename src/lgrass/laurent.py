@@ -239,9 +239,13 @@ class LaurentPolynomial:
                                      self._bound)
 
     def __sub__(self, other):
+        if not isinstance(other, (int, LaurentPolynomial)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):

@@ -30,10 +30,11 @@ Nothing here keeps a restriction value between calls.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .chart import coordinate_weight_k
-from .indexing import IsotropicIndex, bar, enumerate_isotropic, length, sigma
+from .indexing import (IsotropicIndex, bar, enumerate_isotropic, heaviest_first, length,
+                       sigma)
 # the divisible_by_* wrappers, restrict_k and restrict_h are unused here but
 # stay importable: bench/tracer.py patches them by name
 from .laurent import (LaurentPolynomial, divisible_by_k_root,  # noqa: F401
@@ -202,10 +203,10 @@ def kclass_union_oracle(alpha: IsotropicIndex, beta: IsotropicIndex,
 # moment graph
 # ---------------------------------------------------------------------------
 
-class GkmEdge(NamedTuple):
-    beta1: IsotropicIndex
-    beta2: IsotropicIndex
-    root: PositiveRoot
+class GkmEdge(namedtuple("GkmEdge", "beta1 beta2 root")):
+    """An edge of the moment graph: two fixed points and the root joining them."""
+
+    __slots__ = ()
 
 
 def reflect(beta: IsotropicIndex, root: PositiveRoot) -> IsotropicIndex:
@@ -296,12 +297,10 @@ def chern_consistency(alpha: IsotropicIndex, beta: IsotropicIndex) -> bool:
 # verification suites
 # ---------------------------------------------------------------------------
 
-class SuiteReport(NamedTuple):
+class SuiteReport(namedtuple("SuiteReport", "suite n checks failures")):
     """The outcome of one suite at rank n: its check count and failure messages."""
-    suite: str
-    n: int
-    checks: int
-    failures: list[str]
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -312,15 +311,15 @@ class SuiteReport(NamedTuple):
                 "ok": self.ok, "failures": self.failures}
 
 
-class Share(NamedTuple):
+class Share(namedtuple("Share", "checks failures")):
     """One job's part of a suite: its check count and its tagged failures.
 
     A pair-suite failure is (alpha index, beta index, check index, message)
     and a gkm failure (theory index, alpha index, message), so sorting a
     suite's failures by their tags puts them in single-process order.
     """
-    checks: int
-    failures: list[tuple]
+
+    __slots__ = ()
 
 
 def _pair_column(points: list[IsotropicIndex], j: int, *checks) -> Share:
@@ -406,32 +405,15 @@ SUITES = {
     "subword": _subword_job,
 }
 
-# Estimated seconds of one job, scale * growth^(size - 15), so that the jobs
-# are dealt heaviest first; fit to cold single-process runs at n = 4, 5, 6 on
-# 2 shared Xeon cores.  A pair column's size is |sigma(beta)|.  A gkm row
-# reads the whole table, so its size is n(n+1)/2 + |sigma(alpha)| / 3.
-_JOB_COST = {"oracle": (1.0, 2.0), "chern": (1.3, 2.0), "positivity": (0.08, 1.6),
-             "subword": (0.01, 1.6), "gkm K": (0.006, 1.7), "gkm H": (0.001, 1.7)}
-
-
-def _job_cost(name: str, k: int, sizes: list[int]) -> float:
-    """Estimated seconds of job k of a suite; sizes[i] is |sigma(point i)|, at most n(n+1)/2."""
-    if name == "gkm":
-        t, i = divmod(k, len(sizes))
-        scale, growth = _JOB_COST["gkm " + "HK"[t]]
-        size = max(sizes) + sizes[i] / 3
-    else:
-        scale, growth = _JOB_COST[name]
-        size = sizes[k]
-    return scale * growth ** (size - 15)
-
-
 def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> list[SuiteReport]:
     """One report per named suite, in order; ``corrupt`` turns gkm into a negative control.
 
     The jobs of every named suite, beta columns of the pair suites and
-    (theory, alpha) rows of gkm, go into one list, heaviest first, and one
-    ``forked_map`` deals them over one process per usable CPU.  The jobs read
+    (theory, alpha) rows of gkm, go into one list suite by suite, in the
+    order named, and each suite's heaviest first by ``heaviest_first``, as
+    ``table`` deals its columns: a pair suite's columns by |sigma(beta)|,
+    gkm's rows by |sigma(alpha)| within each theory.  One ``forked_map``
+    deals the list over one process per usable CPU.  The jobs read
     restriction values from one store that this call owns: each process fills
     it through ``column_values`` at most once per (beta, theory), and it goes
     when the call returns.  Each report is then rebuilt in single-process
@@ -443,10 +425,9 @@ def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> lis
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     points = enumerate_isotropic(n)
-    sizes = [sum(sigma(p)) for p in points]
-    jobs = [(p, name, k) for p, name in enumerate(suites)
-            for k in range((2 if name == "gkm" else 1) * len(points))]
-    jobs.sort(key=lambda job: -_job_cost(job[1], job[2], sizes))
+    order = heaviest_first(points)
+    jobs = [(p, name, t * len(points) + i) for p, name in enumerate(suites)
+            for t in range(2 if name == "gkm" else 1) for i in order]
 
     @functools.lru_cache(maxsize=None)
     def column(beta, theory):

@@ -39,7 +39,8 @@ all of it, ``restrict`` only the prefixes of sigma(alpha).  Nothing is cached.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 # enumerate_isotropic, length and tableau_cut_pairs are unused here but stay
 # importable: bench/tracer.py patches them by name
@@ -51,17 +52,13 @@ from .laurent import LaurentPolynomial, check_theory
 from .tableaux import enumerate_ssvt, enumerate_ssyt
 
 
-class RestrictionResult(NamedTuple):
+class RestrictionResult(namedtuple("RestrictionResult", "alpha beta theory value term_count")):
     """A computed restriction: the exact class and the number of tableaux summed."""
 
-    alpha: IsotropicIndex
-    beta: IsotropicIndex
-    theory: str
-    value: LaurentPolynomial
-    term_count: int
+    __slots__ = ()
 
 
-class PositiveRoot(NamedTuple("PositiveRoot", [("kind", str), ("i", int), ("j", int)])):
+class PositiveRoot(namedtuple("PositiveRoot", "kind i j")):
     """A positive root of type C_n: t_i - t_j, t_i + t_j (i < j <= n), or 2t_i.
 
     ``kind`` is "diff", "sum" or "double".  Stored in the standard (upper

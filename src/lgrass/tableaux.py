@@ -9,7 +9,8 @@ confines its image boxes (x, z(x)) to the shifted diagram of mu.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .indexing import check_strict, transpose
 
@@ -65,13 +66,10 @@ class ShiftedDiagram(_SlotValue):
         return f"ShiftedDiagram({self.shape})"
 
 
-class EntryContext(NamedTuple):
+class EntryContext(namedtuple("EntryContext", "x r c z")):
     """An entry x together with its box (r, c) and z = x + c - r."""
 
-    x: int
-    r: int
-    c: int
-    z: int
+    __slots__ = ()
 
 
 def entry_context(x: int, r: int, c: int) -> EntryContext:

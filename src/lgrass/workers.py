@@ -26,15 +26,16 @@ def forked_map(fn, jobs: list) -> list:
 
     With w = min(usable CPUs, len(jobs)), at least 1, the jobs are dealt in
     rounds of w, every other round in reverse: processes 0, 1, ..., w-1, then
-    w-1, ..., 0, and so on.  On jobs sorted heaviest first this evens the loads out
-    better than a plain round-robin deal, which gives process 0 the heaviest
-    job of every round.  Process 0 is this one and the others are fork
-    children, so fn must return values that marshal can write.  Every child
-    is reaped before this returns or raises.  A job that raises an Exception
-    in a child raises here as the same class with the same arguments where
-    this process can rebuild it (its cause holds the child's traceback), so
-    a caller sees one error whichever process ran the job; a child that
-    failed otherwise raises RuntimeError.
+    w-1, ..., 0, and so on.  Both callers list their jobs heaviest first by
+    ``indexing.heaviest_first`` (``verify`` suite by suite), and on such a
+    list this evens the loads out better than a plain round-robin deal, which
+    gives process 0 the heaviest job of every round.  Process 0 is this one
+    and the others are fork children, so fn must return values that marshal
+    can write.  Every child is reaped before this returns or raises.  A job
+    that raises an Exception in a child raises here as the same class with
+    the same arguments where this process can rebuild it (its cause holds the
+    child's traceback), so a caller sees one error whichever process ran the
+    job; a child that failed otherwise raises RuntimeError.
     """
     w = max(1, min(usable_cpus(), len(jobs)))
     shares = [[] for _ in range(w)]  # the job indices of each process

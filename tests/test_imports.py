@@ -57,7 +57,7 @@ class TestImportBoundary:
         loaded = loaded_after(parsed("table", "--n", "5", "--theory", "K", "--out", "json"))
         assert "lgrass.restriction" in loaded
         assert not loaded & {"lgrass.oracles", "lgrass.models", "lgrass.render",
-                             "dataclasses", "inspect", "csv"}
+                             "dataclasses", "inspect", "csv", "typing"}
 
     def test_verify_loads_neither_models_nor_render(self):
         loaded = loaded_after(parsed("verify", "--n", "4", "--suite", "all", "--json"))

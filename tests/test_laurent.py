@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -58,13 +59,15 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             LaurentPolynomial.one(2) + LaurentPolynomial.one(3)
 
-    @pytest.mark.parametrize("expr", [lambda p: p + 2.0, lambda p: 2.0 + p,
-                                      lambda p: p * 2.5, lambda p: 2.5 * p,
-                                      lambda p: p - 2.0, lambda p: p + "x"],
-                             ids=["p+2.0", "2.0+p", "p*2.5", "2.5*p", "p-2.0", "p+str"])
-    def test_foreign_operand_type_error(self, expr):
-        # neither an int nor a polynomial: Python's TypeError, not an AttributeError
-        with pytest.raises(TypeError):
+    @pytest.mark.parametrize("expr,op", [
+        (lambda p: p + 2.0, "+"), (lambda p: 2.0 + p, "+"),
+        (lambda p: p * 2.5, "*"), (lambda p: 2.5 * p, "*"),
+        (lambda p: p - 2.0, "-"), (lambda p: 2.0 - p, "-"),
+        (lambda p: p + "x", "+"), (lambda p: p - "x", "-"),
+    ], ids=["p+2.0", "2.0+p", "p*2.5", "2.5*p", "p-2.0", "2.0-p", "p+str", "p-str"])
+    def test_foreign_operand_type_error(self, expr, op):
+        # neither an int nor a polynomial: Python's TypeError naming the operator
+        with pytest.raises(TypeError, match=re.escape(f"operand type(s) for {op}:")):
             expr(var(1) + 1)
 
     def test_pow(self):
