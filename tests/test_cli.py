@@ -464,6 +464,18 @@ class TestVerifyCommand:
             main(["verify", "--n", "6", "--suite", "all"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,exit_code,digest", [
+        (("--suite", "all"), 0,
+         "390c240d62b3b5fb77ad5ecb3e6d5556891f388509fc12d01f147b56359e848a"),
+        (("--suite", "gkm", "--corrupt"), 1,
+         "16f8df350c47c5bda508f530f207671b1ace9d154d53935057d8b7e0b584cccb"),
+    ])
+    def test_pinned_bytes_n3(self, capsys, argv, exit_code, digest):
+        # pins every check count, failure message and their order
+        code, text = run(capsys, "verify", "--n", "3", *argv, "--json")
+        assert code == exit_code
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_suite_order_is_one_list(self):
         assert list(VERIFY_RANK_LIMITS) == list(oracles.SUITES)
         assert [r.suite for r in oracles.run_verification(1)] == list(oracles.SUITES)
@@ -492,19 +504,19 @@ class TestVerifyProcesses:
         code, _ = self.same_on_1_2_3(capsys, monkeypatch, "--n", "4", "--suite", suite, "--json")
         assert code == 0
 
-    @pytest.mark.parametrize("argv,exit_code,digest", [
-        (("--n", "3", "--suite", "all"), 0,
-         "390c240d62b3b5fb77ad5ecb3e6d5556891f388509fc12d01f147b56359e848a"),
-        (("--n", "3", "--suite", "gkm", "--corrupt"), 1,
-         "16f8df350c47c5bda508f530f207671b1ace9d154d53935057d8b7e0b584cccb"),
-        (("--n", "4", "--suite", "all"), 0,
-         "cdf79db4c3280a05fcf0e0d815d80d1bbd45436857e722eaf7c8df67f515d96c"),
-    ], ids=["n3-all", "n3-gkm-corrupt", "n4-all"])
-    def test_pinned_bytes(self, capsys, monkeypatch, argv, exit_code, digest):
-        # pins every check count, failure message and their order
-        code, text = self.same_on_1_2_3(capsys, monkeypatch, *argv, "--json")
-        assert code == exit_code
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    def test_corrupt_failures_keep_their_order(self, capsys, monkeypatch):
+        code, out = self.same_on_1_2_3(capsys, monkeypatch, "--n", "3", "--suite", "gkm",
+                                       "--corrupt", "--json")
+        assert code == 1
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "16f8df350c47c5bda508f530f207671b1ace9d154d53935057d8b7e0b584cccb")
+
+    def test_all_suites_n4_pinned_bytes(self, capsys, monkeypatch):
+        # pins every check count at n=4 and their order on 1, 2 and 3 processes
+        code, out = self.same_on_1_2_3(capsys, monkeypatch, "--n", "4", "--suite", "all", "--json")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "cdf79db4c3280a05fcf0e0d815d80d1bbd45436857e722eaf7c8df67f515d96c")
 
     @pytest.mark.parametrize("name", ["coordinate_weight_k", "coordinate_weight_h"])
     def test_perturbed_positivity_failures_keep_their_order(self, monkeypatch, name):
