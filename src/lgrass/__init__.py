@@ -23,10 +23,9 @@ _EXPORTS = {
                  "sigma_inverse", "symmetric_double", "transpose"),
     "tableaux": ("EntryContext", "SetValuedShiftedTableau", "ShiftedDiagram", "entry_context",
                  "enumerate_ssvt", "enumerate_ssyt", "is_on", "is_semistandard"),
-    "laurent": ("LaurentPolynomial", "bar_var_h", "bar_var_k", "divisible_by_k_root",
-                "divisible_by_root_h", "lowest_degree_form"),
-    "chart": ("ChartIndexSet", "SubspaceSpec", "chart_matrix_pattern", "coordinate_weight_h",
-              "coordinate_weight_k", "subspace_of_tableau"),
+    "laurent": ("LaurentPolynomial", "lowest_degree_form"),
+    "chart": ("ChartIndexSet", "SubspaceSpec", "bar_var_h", "bar_var_k", "chart_matrix_pattern",
+              "coordinate_weight_h", "coordinate_weight_k", "subspace_of_tableau"),
     "restriction": ("CertificateError", "PositiveRoot", "RestrictionResult", "positive_roots",
                     "positivity_certificate", "restrict", "restrict_h", "restrict_k",
                     "root_for_entry"),
@@ -35,8 +34,9 @@ _EXPORTS = {
                "fold_symmetric", "subset_to_family", "subset_to_tableau", "tableau_to_subset",
                "unfold_symmetric"),
     "oracles": ("GkmEdge", "SuiteReport", "billey_restrict_h", "chern_consistency",
-                "gkm_check", "gkm_check_table", "gkm_edges", "kclass_union_oracle",
-                "reduced_word", "reflect", "run_verification"),
+                "divisible_by_k_root", "divisible_by_root_h", "gkm_check", "gkm_check_table",
+                "gkm_edges", "kclass_union_oracle", "reduced_word", "reflect",
+                "run_verification"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

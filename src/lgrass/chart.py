@@ -11,7 +11,7 @@ formulas.
 from __future__ import annotations
 
 from .indexing import IsotropicIndex, bar, sigma
-from .laurent import LaurentPolynomial, bar_var_h
+from .laurent import LaurentPolynomial
 from .tableaux import SetValuedShiftedTableau, ShiftedDiagram
 
 
@@ -37,13 +37,29 @@ class ChartIndexSet:
         return f"ChartIndexSet(beta={self.beta}, pairs={self.pairs})"
 
 
+def _k_letter(label: int, n: int) -> tuple[int, int]:
+    """(k, e) with t_label = t_k^e for a letter in 1..2n, by the K rule t_bar(k) = 1/t_k."""
+    return (label, 1) if label <= n else (bar(label, n), -1)
+
+
+def bar_var_k(label: int, n: int) -> LaurentPolynomial:
+    """K-theory variable for a letter in 1..2n: t_k, or 1/t_k for bar(k)."""
+    return LaurentPolynomial.var(n, *_k_letter(label, n))
+
+
+def bar_var_h(label: int, n: int) -> LaurentPolynomial:
+    """Cohomology variable for a letter in 1..2n: t_k, or -t_k for bar(k)."""
+    if label <= n:
+        return LaurentPolynomial.var(n, label)
+    return -LaurentPolynomial.var(n, bar(label, n))
+
+
 def coordinate_weight_k(a: int, b: int, n: int) -> LaurentPolynomial:
-    """Torus character t_b / t_a of the coordinate y_ab, bar labels resolved."""
+    """Torus character t_b / t_a = t_b t_bar(a) of the coordinate y_ab, by ``bar_var_k``'s rule."""
     exps = [0] * n
-    for label, sign in ((b, 1), (a, -1)):
-        if label > n:  # t_bar(k) = 1/t_k
-            label, sign = bar(label, n), -sign
-        exps[label - 1] += sign
+    for label in (b, bar(a, n)):
+        k, e = _k_letter(label, n)
+        exps[k - 1] += e
     return LaurentPolynomial.monomial(n, exps)
 
 

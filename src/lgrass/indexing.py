@@ -103,6 +103,8 @@ class IsotropicIndex:
                 and self.n == other.n and self.values == other.values)
 
     def __lt__(self, other) -> bool:
+        if not isinstance(other, IsotropicIndex):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("cannot compare indices of different rank")
         return self.values < other.values

@@ -2,8 +2,7 @@
 
 One representation serves both theories: K-theory classes use arbitrary
 integer exponents, cohomology classes are the sub-case with nonnegative
-exponents.  The bar conventions t_bar(k) = 1/t_k (K) and t_bar(k) = -t_k
-(cohomology) are provided as constructors.
+exponents.
 
 A polynomial is a dict from packed exponent keys to nonzero coefficients.
 The key of (e_1, ..., e_n) is one int holding each exponent in a W-bit
@@ -25,12 +24,6 @@ straight into one dict and delete a key as soon as its coefficient reaches
 product takes the bias off its shorter operand, and the first of that
 operand's terms builds the dict in one comprehension.
 
-The divisibility tests needed for moment-graph checks use one exact
-substitution, t_i -> s * t_j^p with s in {1, -1, 0}: a root divides p when
-every image of p on the root's zero set vanishes.  ``root_images`` lists
-those substitutions for one root, so a caller comparing many pairs of
-polynomials along one root parses it once.
-
 The lowest-degree (Chern) form of p is the lowest homogeneous part of
 p(e^{-u}) in u.  Both x_i = 1 - e^{-u_i} and y_i = e^{u_i} - 1 are
 u_i + O(u^2), so it equals the lowest part of p with each t_i written as
@@ -47,8 +40,6 @@ from __future__ import annotations
 import functools
 import struct
 from math import comb
-
-from .indexing import bar
 
 W = 16  # bits per exponent field of a packed key
 HALF = 1 << (W - 1)  # the bias; an exponent e is stored as e + HALF
@@ -308,7 +299,11 @@ class LaurentPolynomial:
                 and self.n == other.n and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._terms.items())))
+        terms = self._terms
+        c = terms.get(_bias(self.n), 0)
+        if len(terms) == (1 if c else 0):  # 0 or c alone: equal to an int, so hash like it
+            return hash(c)
+        return hash((self.n, frozenset(terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -440,20 +435,6 @@ def _monomial_text(head, tail) -> str:
     return (num or "1") + "/" + (den[0] if len(den) == 1 else f"({'*'.join(den)})")
 
 
-def bar_var_k(label: int, n: int) -> LaurentPolynomial:
-    """K-theory variable for a letter in 1..2n: t_k, or 1/t_k for bar(k)."""
-    if label <= n:
-        return LaurentPolynomial.var(n, label)
-    return LaurentPolynomial.var(n, bar(label, n), -1)
-
-
-def bar_var_h(label: int, n: int) -> LaurentPolynomial:
-    """Cohomology variable for a letter in 1..2n: t_k, or -t_k for bar(k)."""
-    if label <= n:
-        return LaurentPolynomial.var(n, label)
-    return -LaurentPolynomial.var(n, bar(label, n))
-
-
 def _binomial_row(e: int, order: int, s: int) -> list[int]:
     """Coefficients of z^0..z^order in (1 + s z)^e, s = +-1, exact for any integer e."""
     if e >= 0:
@@ -523,74 +504,3 @@ def lowest_degree_form(p: LaurentPolynomial, order: int | None = None) -> Lauren
     exps = [_unpack(k, p.n) for k in p._terms]
     shift = sum(min(0, *col) for col in zip(*exps))
     return _lowest_part(p, max(map(sum, exps)) - shift)
-
-
-def _parse_root(theta: LaurentPolynomial) -> list[tuple[int, int]]:
-    """[(variable, coefficient)] of a root form +-c t_i (c in 1, 2) or +-t_i +- t_j."""
-    entries = []
-    for exps, c in theta.terms():
-        if sum(1 for e in exps if e) != 1 or sum(exps) != 1:
-            raise ValueError(f"not a linear form: {theta.pretty()}")
-        i = next(k for k, e in enumerate(exps) if e) + 1
-        entries.append((i, c))
-    if not entries:
-        raise ValueError("zero root")
-    if len(entries) > 2:
-        raise ValueError(f"not a rank-one root form: {theta.pretty()}")
-    if len(entries) == 1 and abs(entries[0][1]) not in (1, 2):
-        raise ValueError(f"unexpected root coefficient {entries[0][1]}")
-    if len(entries) == 2 and {abs(c) for _, c in entries} != {1}:
-        raise ValueError(f"unexpected root coefficients in {theta.pretty()}")
-    return entries
-
-
-def check_theory(theory: str) -> None:
-    """Raise ValueError unless theory is "K" (K-theory) or "H" (cohomology)."""
-    if theory not in ("K", "H"):
-        raise ValueError(f"theory must be 'K' or 'H', got {theory!r}")
-
-
-def root_images(theta: LaurentPolynomial, theory: str) -> tuple[tuple, ...]:
-    """``_substitute`` arguments whose images of p all vanish iff theta divides p.
-
-    theta is a root form +-t_i +- t_j or +-c t_i (c in 1, 2).  In H ("divides"
-    means theta | p, p with nonnegative exponents) they solve theta = 0:
-    t_i -> 0 for c t_i and t_i -> -ab t_j for a t_i + b t_j.  In K (p in the
-    ideal (1 - e^{-theta}) of the Laurent ring) they cover the subtorus
-    e^theta = 1: t_i -> t_j for +-(t_i - t_j), t_i -> 1/t_j for +-(t_i + t_j),
-    t_i -> 1 for +-t_i, and both t_i -> 1 and t_i -> -1 for +-2t_i (over the
-    integers, p = A + t_i B mod t_i^2 - 1 vanishes iff A + B and A - B do).
-    Each image is a ring homomorphism, so p1 - p2 is divisible iff p1 and p2
-    have equal images.  A theory other than "K" or "H" raises ValueError.
-    """
-    check_theory(theory)
-    (i, a), *rest = _parse_root(theta)
-    if theory == "H":
-        if rest:
-            (j, b), = rest
-            return ((i, -a * b, j),)
-        return ((i, 0),)
-    if rest:
-        (j, b), = rest
-        return ((i, 1, j, -1 if a * b > 0 else 1),)
-    return ((i, 1), (i, -1)) if abs(a) == 2 else ((i, 1),)
-
-
-def divisible_by_root_h(p: LaurentPolynomial, theta: LaurentPolynomial) -> bool:
-    """Whether the linear form theta (a root +-t_i +- t_j or +-2t_i) divides p.
-
-    Checked by exact elimination on the images of ``root_images(theta, "H")``.
-    Requires p to have nonnegative exponents.
-    """
-    if p.has_negative_exponent():
-        raise ValueError("cohomology divisibility needs nonnegative exponents")
-    return all(p._substitute(*args).is_zero() for args in root_images(theta, "H"))
-
-
-def divisible_by_k_root(p: LaurentPolynomial, theta: LaurentPolynomial) -> bool:
-    """Whether p lies in the ideal (1 - e^{-theta}) of the Laurent ring.
-
-    Equivalent to vanishing on the subtorus e^theta = 1, checked by exact
-    substitution on the images of ``root_images(theta, "K")``.
-    """
-    return all(p._substitute(*args).is_zero() for args in root_images(theta, "K"))

@@ -13,7 +13,8 @@ those two is common to both and only subword and gkm can catch it:
   one DP per beta over the subwords of a reduced word of beta's window
   ``beta.signed``, with the hyperoctahedral group acting on plain windows;
 * gkm: along every edge of the fixed-point moment graph the difference of
-  restrictions must be divisible by the edge root;
+  restrictions must be divisible by the edge root, tested on the
+  substitutions of ``PositiveRoot.images``;
 * chern: the lowest-order form of each K restriction equals the cohomology
   restriction;
 * positivity: every factor of every tableau is e^theta - 1 (K) resp. theta
@@ -35,10 +36,9 @@ from collections import namedtuple
 from .chart import coordinate_weight_k
 from .indexing import (IsotropicIndex, bar, enumerate_isotropic, heaviest_first, length,
                        sigma)
-# the divisible_by_* wrappers, restrict_k and restrict_h are unused here but
-# stay importable: bench/tracer.py patches them by name
-from .laurent import (LaurentPolynomial, divisible_by_k_root,  # noqa: F401
-                      divisible_by_root_h, lowest_degree_form, root_images)
+from .laurent import LaurentPolynomial, lowest_degree_form
+# restrict_k and restrict_h are unused here but stay importable: bench/tracer.py
+# patches them by name
 from .restriction import (PositiveRoot, column_values, positive_roots,  # noqa: F401
                           positivity_certificate, restrict, restrict_h, restrict_k)
 from .tableaux import enumerate_ssyt
@@ -232,9 +232,35 @@ def gkm_edges(n: int) -> tuple[GkmEdge, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _edge_images(n: int, theory: str) -> tuple[tuple[GkmEdge, tuple[tuple, ...]], ...]:
-    """Each edge of ``gkm_edges(n)`` with its root's ``root_images``, built once per (n, theory)."""
-    images = {root: root_images(root.form_h(n), theory) for root in positive_roots(n)}
-    return tuple((edge, images[edge.root]) for edge in gkm_edges(n))
+    """Each edge of ``gkm_edges(n)`` with its root's ``images``, built once per (n, theory)."""
+    return tuple((edge, edge.root.images(theory)) for edge in gkm_edges(n))
+
+
+def _divisible(p: LaurentPolynomial, root: PositiveRoot, theory: str) -> bool:
+    """Whether every image of p under ``root.images(theory)`` is zero."""
+    if root.j > p.n:
+        raise ValueError(f"root {root} has index {root.j} past the {p.n} variables")
+    return all(p._substitute(*args).is_zero() for args in root.images(theory))
+
+
+# the gkm suite compares images instead; bench/tracer.py patches these two by name
+def divisible_by_root_h(p: LaurentPolynomial, root: PositiveRoot) -> bool:
+    """Whether the root divides p, which must have nonnegative exponents.
+
+    Checked by exact elimination on the images of ``root.images("H")``.
+    """
+    if p.has_negative_exponent():
+        raise ValueError("cohomology divisibility needs nonnegative exponents")
+    return _divisible(p, root, "H")
+
+
+def divisible_by_k_root(p: LaurentPolynomial, root: PositiveRoot) -> bool:
+    """Whether p lies in the ideal (1 - e^{-theta}) of the Laurent ring, theta the root.
+
+    Equivalent to vanishing on the subtorus e^theta = 1, checked by exact
+    substitution on the images of ``root.images("K")``.
+    """
+    return _divisible(p, root, "K")
 
 
 def gkm_check_table(table: dict[IsotropicIndex, LaurentPolynomial], n: int,
@@ -242,10 +268,10 @@ def gkm_check_table(table: dict[IsotropicIndex, LaurentPolynomial], n: int,
     """Edge-divisibility check of one row of a restriction table.
 
     The root of an edge divides p1 - p2 iff p1 and p2 have equal images under
-    each of its substitutions (each one is a ring homomorphism), so the
-    difference is never built, and equal values pass without substituting.
-    The report's ``checks`` counts the edges.  A theory other than "K" or "H"
-    raises ValueError, from ``root_images``.
+    each substitution of ``PositiveRoot.images`` (each one is a ring
+    homomorphism), so the difference is never built, and equal values pass
+    without substituting.  The report's ``checks`` counts the edges.  A theory
+    other than "K" or "H" raises ValueError, from ``PositiveRoot.images``.
     """
     if theory == "H" and any(p.has_negative_exponent() for p in table.values()):
         raise ValueError("cohomology divisibility needs nonnegative exponents")

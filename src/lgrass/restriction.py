@@ -48,7 +48,7 @@ from .chart import (coordinate_weight_h, coordinate_weight_k, entry_cut_pairs,  
                     tableau_cut_pairs)
 from .indexing import (IsotropicIndex, bar, enumerate_isotropic, length,  # noqa: F401
                        sigma, transpose)
-from .laurent import LaurentPolynomial, check_theory
+from .laurent import LaurentPolynomial
 from .tableaux import enumerate_ssvt, enumerate_ssyt
 
 
@@ -56,6 +56,12 @@ class RestrictionResult(namedtuple("RestrictionResult", "alpha beta theory value
     """A computed restriction: the exact class and the number of tableaux summed."""
 
     __slots__ = ()
+
+
+def check_theory(theory: str) -> None:
+    """Raise ValueError unless theory is "K" (K-theory) or "H" (cohomology)."""
+    if theory not in ("K", "H"):
+        raise ValueError(f"theory must be 'K' or 'H', got {theory!r}")
 
 
 class PositiveRoot(namedtuple("PositiveRoot", "kind i j")):
@@ -71,6 +77,8 @@ class PositiveRoot(namedtuple("PositiveRoot", "kind i j")):
     def __new__(cls, kind: str, i: int, j: int):
         if kind not in ("diff", "sum", "double"):
             raise ValueError(f"unknown root kind {kind}")
+        if i < 1:
+            raise ValueError(f"root index {i} below 1")
         if kind == "double":
             if i != j:
                 raise ValueError("2t_i roots need i == j")
@@ -93,9 +101,31 @@ class PositiveRoot(namedtuple("PositiveRoot", "kind i j")):
     def exp_k(self, n: int) -> LaurentPolynomial:
         """The monomial e^theta for theta = factor_h: the K factor is this - 1."""
         exps = [0] * n
-        for e, c in self.factor_h(n).terms():
-            exps[next(k for k, v in enumerate(e) if v)] = c
-        return LaurentPolynomial.monomial(n, tuple(exps))
+        if self.kind == "double":
+            exps[self.i - 1] = -2
+        else:  # -t_i + t_j or -t_i - t_j
+            exps[self.i - 1] = -1
+            exps[self.j - 1] = 1 if self.kind == "diff" else -1
+        return LaurentPolynomial.monomial(n, exps)
+
+    def images(self, theory: str) -> tuple[tuple, ...]:
+        """``_substitute`` arguments whose images of p all vanish iff this root divides p.
+
+        In H ("divides" means theta | p, p with nonnegative exponents) they
+        solve theta = 0: t_j -> t_i for t_i - t_j, t_j -> -t_i for t_i + t_j,
+        t_i -> 0 for 2t_i.  In K (p in the ideal (1 - e^{-theta}) of the
+        Laurent ring) they cover the subtorus e^theta = 1: t_j -> t_i,
+        t_j -> 1/t_i, and both t_i -> 1 and t_i -> -1 for 2t_i (over the
+        integers, p = A + t_i B mod t_i^2 - 1 vanishes iff A + B and A - B do).
+        Each image is a ring homomorphism, so p1 - p2 is divisible iff p1 and
+        p2 have equal images.  A theory other than "K" or "H" raises ValueError.
+        """
+        check_theory(theory)
+        i, j = self.i, self.j
+        if self.kind == "double":
+            return ((i, 1), (i, -1)) if theory == "K" else ((i, 0),)
+        sign = 1 if self.kind == "diff" else -1
+        return ((j, 1, i, sign),) if theory == "K" else ((j, sign, i),)
 
     def label_map(self, n: int) -> dict[int, int]:
         """The reflection in this root as a permutation of the letters 1..2n."""
@@ -307,9 +337,10 @@ def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex, theory: 
 
     Each entry's chart coordinate comes from ``entry_cut_pairs``, the call the
     restriction DP makes for its factors; the root is read off that
-    coordinate, and the factor re-derived from the root is compared with the
-    coordinate's weight, so a certificate that returns is a proof that every
-    factor has the form e^theta - 1 (K) resp. theta (H).
+    coordinate, and e^theta (K) resp. theta (H) of the root is compared with
+    the coordinate's weight w, whose factor is w - 1 resp. w, so a certificate
+    that returns is a proof that every factor has the form e^theta - 1 (K)
+    resp. theta (H).
     An entry's root and factor depend only on (x, z) for fixed beta and
     theory, so each distinct (x, z) is checked in full on its first
     occurrence and reused.  ``checked`` maps (x, z) to its certified root;
@@ -330,14 +361,12 @@ def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex, theory: 
                 ((a, c),) = entry_cut_pairs(((e.x, e.z),), beta)
                 root = _root_at(a, c, n)
                 if theory == "K":
-                    expected = root.exp_k(n) - 1
-                    actual = coordinate_weight_k(a, c, n) - 1
+                    expected, weight = root.exp_k(n), coordinate_weight_k(a, c, n)
                 else:
-                    expected = root.factor_h(n)
-                    actual = coordinate_weight_h(a, c, n)
-                if expected != actual:
+                    expected, weight = root.factor_h(n), coordinate_weight_h(a, c, n)
+                if expected != weight:
                     raise CertificateError(
-                        f"factor mismatch for entry {e}: {actual} vs root {root}")
+                        f"weight mismatch for entry {e}: {weight} vs root {root}")
                 checked[e.x, e.z] = root
             roots.append(root)
         certificates.append(roots)

@@ -135,6 +135,8 @@ class SetValuedShiftedTableau(_SlotValue):
                 for r, c, box in self.cells()]
 
     def __lt__(self, other) -> bool:
+        if not isinstance(other, SetValuedShiftedTableau):
+            return NotImplemented
         return self.rows < other.rows
 
     def __repr__(self) -> str:

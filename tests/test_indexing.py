@@ -214,3 +214,11 @@ class TestNormalization:
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("other", [3, "x", (1, 2)], ids=["int", "str", "tuple"])
+def test_order_against_a_foreign_type(other):
+    with pytest.raises(TypeError, match="not supported between instances"):
+        idx(2, 1, 2) < other
+    with pytest.raises(TypeError, match="not supported between instances"):
+        other > idx(2, 1, 2)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lgrass
-from lgrass import (LaurentPolynomial, bar_var_h, bar_var_k, divisible_by_k_root,
-                    divisible_by_root_h, lowest_degree_form)
-from lgrass.laurent import HALF, _pack, _unpack, root_images
+from lgrass import (IsotropicIndex, LaurentPolynomial, PositiveRoot, RestrictionResult,
+                    bar_var_h, bar_var_k, divisible_by_k_root, divisible_by_root_h,
+                    lowest_degree_form)
+from lgrass.laurent import HALF, _pack, _unpack
 from lgrass.restriction import positive_roots
 
 from helpers import exp_series_lowest_form, x_expansion_lowest_form
@@ -54,6 +55,20 @@ class TestArithmetic:
         assert p - 1 == P(3, {(1, 0, 0): 1, (0, 0, 0): -1})
         assert 2 * p == P(3, {(1, 0, 0): 2})
         assert (1 - p) == -(p - 1)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("c", [0, 1, -1, 7, 2 ** 70])
+    def test_constant_hashes_like_its_int(self, n, c):
+        p = LaurentPolynomial.constant(n, c)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
+        assert hash(P(n, {(0,) * n: c})) == hash(c)  # built term by term
+
+    def test_equal_results_hash_equal(self):
+        a = IsotropicIndex(1, (1,))
+        with_int = RestrictionResult(a, a, "K", 1, 1)
+        with_poly = RestrictionResult(a, a, "K", LaurentPolynomial.one(1), 1)
+        assert with_int == with_poly and hash(with_int) == hash(with_poly)
 
     def test_mismatched_n(self):
         with pytest.raises(ValueError):
@@ -366,37 +381,38 @@ class TestLowestDegreeForm:
         assert x_expansion_lowest_form(p, order=1) == var(1) ** 3
 
 
+T1_MINUS_T2 = PositiveRoot("diff", 1, 2)
+T1_PLUS_T2 = PositiveRoot("sum", 1, 2)
+TWO_T1 = PositiveRoot("double", 1, 1)
+
+
 class TestDivisibility:
     def test_h_difference_of_squares(self):
         p = var(1) * var(1) - var(2) * var(2)
-        assert divisible_by_root_h(p, var(1) - var(2))
-        assert divisible_by_root_h(p, var(1) + var(2))
+        assert divisible_by_root_h(p, T1_MINUS_T2)
+        assert divisible_by_root_h(p, T1_PLUS_T2)
 
     def test_h_negative(self):
-        assert not divisible_by_root_h(var(1), var(1) - var(2))
+        assert not divisible_by_root_h(var(1), T1_MINUS_T2)
 
     def test_h_double_root(self):
-        assert divisible_by_root_h(var(1) * var(2), 2 * var(1))
-        assert not divisible_by_root_h(var(2), 2 * var(1))
-
-    def test_h_rejects_zero_root(self):
-        with pytest.raises(ValueError):
-            divisible_by_root_h(var(1), LaurentPolynomial.zero(3))
+        assert divisible_by_root_h(var(1) * var(2), TWO_T1)
+        assert not divisible_by_root_h(var(2), TWO_T1)
 
     def test_k_equal_substitution(self):
         p = var(1) * var(2, power=-1) - 1
-        assert divisible_by_k_root(p, var(1) - var(2))
+        assert divisible_by_k_root(p, T1_MINUS_T2)
 
     def test_k_inverse_substitution(self):
         p = var(1) * var(2) - 1
-        assert divisible_by_k_root(p, var(1) + var(2))
+        assert divisible_by_k_root(p, T1_PLUS_T2)
 
     def test_k_parity(self):
         p = var(1, power=2) - 1
-        assert divisible_by_k_root(p, 2 * var(1))
-        assert not divisible_by_k_root(var(1) - 2, 2 * var(1))
-        assert not divisible_by_k_root(var(1) - 2, var(1) - var(2))
-        assert not divisible_by_k_root(var(1) - 2, var(1) + var(2))
+        assert divisible_by_k_root(p, TWO_T1)
+        assert not divisible_by_k_root(var(1) - 2, TWO_T1)
+        assert not divisible_by_k_root(var(1) - 2, T1_MINUS_T2)
+        assert not divisible_by_k_root(var(1) - 2, T1_PLUS_T2)
 
 
 exponents3 = st.tuples(*([st.integers(min_value=-2, max_value=2)] * 3))
@@ -427,20 +443,19 @@ class TestSubstitution:
     @settings(max_examples=40)
     @given(polys3, nonneg3, st.sampled_from(positive_roots(3)))
     def test_multiples_of_every_root_divisible(self, p, q, root):
-        theta = root.form_h(3)
-        assert divisible_by_k_root(p * (1 - root.exp_k(3)), theta)
-        assert divisible_by_root_h(q * theta, theta)
+        assert divisible_by_k_root(p * (1 - root.exp_k(3)), root)
+        assert divisible_by_root_h(q * root.form_h(3), root)
 
     def test_parity_with_negative_exponent(self):
-        assert divisible_by_k_root(var(1, power=-1) - var(1), 2 * var(1))
+        assert divisible_by_k_root(var(1, power=-1) - var(1), TWO_T1)
         image = P(3, {(-1, 0, 0): 1, (-3, 1, 0): 2})._substitute(1, -1)
         assert image == P(3, {(0, 0, 0): -1, (0, 1, 0): -2})
         assert all(type(c) is int for _, c in image.terms())
 
     def test_double_root_needs_both_signs(self):
         # t1 - 1 vanishes at t1 = 1 but not at t1 = -1
-        assert not divisible_by_k_root(var(1) - 1, 2 * var(1))
-        assert divisible_by_k_root(var(1) - var(1, power=3), 2 * var(1))
+        assert not divisible_by_k_root(var(1) - 1, TWO_T1)
+        assert divisible_by_k_root(var(1) - var(1, power=3), TWO_T1)
 
     def test_cancelling_pairs_build_zero(self):
         pairs = [((1, 0), 3), ((0, 1), 2), ((1, 0), -3), ((0, 1), -2)]
@@ -456,13 +471,13 @@ class TestSubstitution:
             var(1)._substitute(1, 2)
 
     def test_root_images(self):
-        # the variable eliminated is the root's first in lexicographic term order
-        assert root_images(var(1) - var(2), "K") == ((2, 1, 1, 1),)
-        assert root_images(var(1) + var(3), "K") == ((3, 1, 1, -1),)
-        assert root_images(2 * var(2), "K") == ((2, 1), (2, -1))
-        assert root_images(var(1) - var(2), "H") == ((2, 1, 1),)
-        assert root_images(var(1) + var(3), "H") == ((3, -1, 1),)
-        assert root_images(2 * var(2), "H") == ((2, 0),)
+        # a root t_i +- t_j eliminates t_j
+        assert PositiveRoot("diff", 1, 2).images("K") == ((2, 1, 1, 1),)
+        assert PositiveRoot("sum", 1, 3).images("K") == ((3, 1, 1, -1),)
+        assert PositiveRoot("double", 2, 2).images("K") == ((2, 1), (2, -1))
+        assert PositiveRoot("diff", 1, 2).images("H") == ((2, 1, 1),)
+        assert PositiveRoot("sum", 1, 3).images("H") == ((3, -1, 1),)
+        assert PositiveRoot("double", 2, 2).images("H") == ((2, 0),)
 
 
 class TestPretty:
@@ -559,14 +574,11 @@ class TestTableRenderers:
     (lambda: var(4), "out of range"),
     (lambda: var(0), "out of range"),
     (lambda: (var(1) + 1) ** -1, "negative powers"),
-    (lambda: root_images(var(1) ** 2, "H"), "not a linear form"),
-    (lambda: root_images(var(1) + var(2) + var(3), "K"), "rank-one"),
-    (lambda: root_images(3 * var(1), "H"), "unexpected root coefficient "),
-    (lambda: root_images(2 * var(1) + var(2), "K"), "unexpected root coefficients"),
-    (lambda: divisible_by_root_h(var(1, power=-1), var(1)), "nonnegative"),
+    (lambda: divisible_by_root_h(var(1, power=-1), TWO_T1), "nonnegative"),
+    (lambda: divisible_by_root_h(var(1), PositiveRoot("diff", 1, 4)), "index 4 past the 3"),
+    (lambda: divisible_by_k_root(var(1), PositiveRoot("double", 5, 5)), "index 5 past the 3"),
 ], ids=["vector-length", "n-negative", "constant-n-negative", "var-high", "var-zero",
-        "negative-power", "root-not-linear", "root-three-terms", "root-coefficient",
-        "root-coefficients", "h-negative-exponent"])
+        "negative-power", "h-negative-exponent", "h-root-index", "k-root-index"])
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -14,7 +14,6 @@ from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, Positiv
                     lowest_degree_form, positivity_certificate, reduced_word, reflect,
                     restrict, restrict_h, restrict_k, run_verification)
 from lgrass import oracles, restriction
-from lgrass.laurent import root_images
 
 from helpers import (bfs_weyl_lengths, inclusion_exclusion_union_class, per_pair_billey,
                      window_generators, window_product, x_expansion_lowest_form)
@@ -235,14 +234,14 @@ class TestGkmCheck:
         with pytest.raises(ValueError, match=message):
             gkm_check_table(row, 2, "h")
         with pytest.raises(ValueError, match=message):
-            root_images(PositiveRoot("double", 1, 1).form_h(2), "h")
+            PositiveRoot("double", 1, 1).images("h")
 
 
 def reference_gkm_failures(table, n, theory):
     """The failing edges by divisibility of the difference p1 - p2, edge by edge."""
     divisible = divisible_by_root_h if theory == "H" else divisible_by_k_root
     return [f"edge {e.beta1}|{e.beta2} root {e.root}" for e in gkm_edges(n)
-            if not divisible(table[e.beta1] - table[e.beta2], e.root.form_h(n))]
+            if not divisible(table[e.beta1] - table[e.beta2], e.root)]
 
 
 class TestGkmAgainstDifference:

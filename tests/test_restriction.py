@@ -175,6 +175,8 @@ class TestPositiveRoots:
         ("double", 1, 2, "i == j"),
         ("diff", 2, 1, "i < j"),
         ("sum", 2, 2, "i < j"),
+        ("diff", -3, 2, "index -3 below 1"),
+        ("double", 0, 0, "index 0 below 1"),
     ])
     def test_bad_root_rejected(self, kind, i, j, match):
         with pytest.raises(ValueError, match=match):

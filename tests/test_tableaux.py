@@ -153,6 +153,14 @@ class TestEnumeration:
         assert got == sorted(got, key=lambda t: t.rows)
         assert got == enumerate_ssvt((2, 1), (5, 3, 2))
 
+    @pytest.mark.parametrize("other", [3, "x", ((1,),)], ids=["int", "str", "rows"])
+    def test_order_against_a_foreign_type(self, other):
+        t = SetValuedShiftedTableau([[(1,)]])
+        with pytest.raises(TypeError, match="not supported between instances"):
+            t < other
+        with pytest.raises(TypeError, match="not supported between instances"):
+            other > t
+
     @pytest.mark.parametrize("lam,mu", [
         ((2,), (3, 2)),
         ((2, 1), (5, 3, 2)),
