@@ -50,8 +50,8 @@ RESTRICT_RANK_LIMIT = 7
 # Largest n per verify suite, from cold CLI runs on 2 shared Xeon cores, where
 # `verify` deals its beta columns and gkm rows over one process per usable CPU
 # (time, then peak RSS of the largest process): `--n 6 --suite gkm` 19-25 s and
-# 304 MB (86 016 edge checks; every process builds all n=6 K and H columns;
-# 6 runs), `--suite positivity` 2.6-2.7 s and 21 MB (8 192 certificates),
+# 297 MB (86 016 edge checks; every process builds all n=6 K and H columns, K
+# rows first), `--suite positivity` 2.6-2.7 s and 21 MB (8 192 certificates),
 # `--suite subword` 0.5-0.6 s and 35 MB, `--suite chern` 37-40 s and 164 MB
 # (4 096 checks, 2 runs), and `--n 7 --suite positivity` 37-41 s and 42 MB
 # (32 768 certificates, 2 runs).  `--n 5 --suite oracle` takes 1.5-2.0 s and

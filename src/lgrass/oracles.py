@@ -39,7 +39,7 @@ from .indexing import (IsotropicIndex, bar, enumerate_isotropic, heaviest_first,
 from .laurent import LaurentPolynomial, lowest_degree_form
 # restrict_k and restrict_h are unused here but stay importable: bench/tracer.py
 # patches them by name
-from .restriction import (PositiveRoot, column_values, positive_roots,  # noqa: F401
+from .restriction import (PositiveRoot, check_theory, column_values, positive_roots,  # noqa: F401
                           positivity_certificate, restrict, restrict_h, restrict_k)
 from .tableaux import enumerate_ssyt
 from .workers import forked_map
@@ -94,16 +94,17 @@ def _subword_column(beta: IsotropicIndex) -> dict[IsotropicIndex, LaurentPolynom
     representative ``beta.signed``, read right to left: a state is the window
     of a subword's suffix product u, reached only through length-additive
     left multiplications u -> s_i u, and holds the sum of the products of the
-    prefix-reflected simple roots at the chosen positions.  Every suffix of a
-    reduced word of a minimal coset representative spells one again (a right
-    descent of a suffix is one of the whole), so only the 2^n states of
-    ``_weyl_table`` are kept.  The DP never looks at alpha, so it runs once
-    per beta.  Right multiplication acts on positions: s_i swaps positions i
-    and i+1 and s_n negates position n.  So the prefix root w(t_i - t_{i+1})
-    of letter i is sgn(w_i) t_|w_i| - sgn(w_{i+1}) t_|w_{i+1}|, and
-    w(2 t_n) = 2 sgn(w_n) t_|w_n|.  Left multiplication acts on values: s_i
-    swaps i <-> i+1 and -i <-> -(i+1), s_n swaps n <-> -n.  An alpha that
-    no subword reaches gets 0.
+    negated prefix-reflected simple roots at the chosen positions; a subword
+    reaching alpha picks l(alpha) letters, so it carries (-1)^{l(alpha)}
+    itself.  Every suffix of a reduced word of a minimal coset representative
+    spells one again (a right descent of a suffix is one of the whole), so
+    only the 2^n states of ``_weyl_table`` are kept.  The DP never looks at
+    alpha, so it runs once per beta.  Right multiplication acts on positions:
+    s_i swaps positions i and i+1 and s_n negates position n.  So the prefix
+    root w(t_i - t_{i+1}) of letter i is sgn(w_i) t_|w_i| - sgn(w_{i+1})
+    t_|w_{i+1}|, and w(2 t_n) = 2 sgn(w_n) t_|w_n|.  Left multiplication acts
+    on values: s_i swaps i <-> i+1 and -i <-> -(i+1), s_n swaps n <-> -n.  An
+    alpha that no subword reaches gets 0.
     """
     n = beta.n
     lens = _weyl_table(n)
@@ -113,13 +114,13 @@ def _subword_column(beta: IsotropicIndex) -> dict[IsotropicIndex, LaurentPolynom
         return LaurentPolynomial.var(n, v) if v > 0 else -LaurentPolynomial.var(n, -v)
 
     prefix = list(range(1, n + 1))  # the window of the prefix product so far
-    prefix_roots = []
+    prefix_roots = []  # each negated
     for gi in word:
         if gi == n:
-            prefix_roots.append(2 * signed_var(prefix[-1]))
+            prefix_roots.append(-2 * signed_var(prefix[-1]))
             prefix[-1] = -prefix[-1]
         else:
-            prefix_roots.append(signed_var(prefix[gi - 1]) - signed_var(prefix[gi]))
+            prefix_roots.append(signed_var(prefix[gi]) - signed_var(prefix[gi - 1]))
             prefix[gi - 1:gi + 1] = prefix[gi], prefix[gi - 1]
     if tuple(prefix) != beta.signed or len(word) != lens[beta.signed]:
         raise RuntimeError(f"{word} is not a reduced word for {beta.signed}")
@@ -138,8 +139,7 @@ def _subword_column(beta: IsotropicIndex) -> dict[IsotropicIndex, LaurentPolynom
             got = states.get(u2)
             states[u2] = add if got is None else got + add
     zero = LaurentPolynomial.zero(n)
-    column = {a: states.get(a.signed, zero) for a in enumerate_isotropic(n)}
-    return {a: -value if length(a) % 2 else value for a, value in column.items()}
+    return {a: states.get(a.signed, zero) for a in enumerate_isotropic(n)}
 
 
 def billey_restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> LaurentPolynomial:
@@ -149,8 +149,8 @@ def billey_restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> LaurentPol
     representative that multiply to the alpha representative, the products of
     prefix-reflected simple roots; the sum is read from beta's
     ``_subword_column``.  The opposite-Borel convention of the restriction
-    classes enters as a global (-1)^{l(alpha)}, equivalently as negating
-    every root; the dictionary is frozen by the rank-one point
+    classes enters as negated roots, equivalently as a global (-1)^{l(alpha)}
+    on the subword sum; the dictionary is frozen by the rank-one point
     ({2}, {2}) -> -2 t_1 and validated against the tableau formula elsewhere.
     """
     if alpha.n != beta.n:
@@ -217,29 +217,23 @@ def reflect(beta: IsotropicIndex, root: PositiveRoot) -> IsotropicIndex:
 
 @functools.lru_cache(maxsize=None)
 def gkm_edges(n: int) -> tuple[GkmEdge, ...]:
-    """All (fixed point, fixed point, root) edges of the moment graph, built once per n."""
-    seen = {}
+    """All (fixed point, fixed point, root) edges of the moment graph, cached per n.
+
+    Each is built once, from its lower endpoint beta1 < beta2 = ``reflect(beta1, root)``.
+    """
+    edges = []
     for b in enumerate_isotropic(n):
         for root in positive_roots(n):
             b2 = reflect(b, root)
-            if b2 == b:
-                continue
-            lo, hi = (b, b2) if b < b2 else (b2, b)
-            seen[(lo, hi, root)] = GkmEdge(lo, hi, root)
-    return tuple(seen[k] for k in sorted(seen, key=lambda k: (k[0].values, k[1].values,
-                                                              k[2].kind, k[2].i, k[2].j)))
-
-
-@functools.lru_cache(maxsize=None)
-def _edge_images(n: int, theory: str) -> tuple[tuple[GkmEdge, tuple[tuple, ...]], ...]:
-    """Each edge of ``gkm_edges(n)`` with its root's ``images``, built once per (n, theory)."""
-    return tuple((edge, edge.root.images(theory)) for edge in gkm_edges(n))
+            if b < b2:
+                edges.append(GkmEdge(b, b2, root))
+    edges.sort(key=lambda e: (e.beta1.values, e.beta2.values, e.root.kind, e.root.i, e.root.j))
+    return tuple(edges)
 
 
 def _divisible(p: LaurentPolynomial, root: PositiveRoot, theory: str) -> bool:
     """Whether every image of p under ``root.images(theory)`` is zero."""
-    if root.j > p.n:
-        raise ValueError(f"root {root} has index {root.j} past the {p.n} variables")
+    root._check_rank(p.n)
     return all(p._substitute(*args).is_zero() for args in root.images(theory))
 
 
@@ -270,17 +264,19 @@ def gkm_check_table(table: dict[IsotropicIndex, LaurentPolynomial], n: int,
     The root of an edge divides p1 - p2 iff p1 and p2 have equal images under
     each substitution of ``PositiveRoot.images`` (each one is a ring
     homomorphism), so the difference is never built, and equal values pass
-    without substituting.  The report's ``checks`` counts the edges.  A theory
-    other than "K" or "H" raises ValueError, from ``PositiveRoot.images``.
+    without substituting; an edge's images are read from its root only where
+    p1 != p2.  The report's ``checks`` counts the edges of ``gkm_edges(n)``.  A
+    theory other than "K" or "H" raises ValueError, even on a row of equal values.
     """
+    check_theory(theory)
     if theory == "H" and any(p.has_negative_exponent() for p in table.values()):
         raise ValueError("cohomology divisibility needs nonnegative exponents")
-    edges = _edge_images(n, theory)
+    edges = gkm_edges(n)
     failures = []
-    for edge, images in edges:
+    for edge in edges:
         p1, p2 = table[edge.beta1], table[edge.beta2]
         if p1 != p2 and any(p1._substitute(*args) != p2._substitute(*args)
-                            for args in images):
+                            for args in edge.root.images(theory)):
             failures.append(f"edge {edge.beta1}|{edge.beta2} root {edge.root}")
     return SuiteReport("gkm", n, len(edges), failures)
 
@@ -408,7 +404,7 @@ def _subword_job(points: list[IsotropicIndex], j: int, column) -> Share:
 
 
 def _gkm_job(points: list[IsotropicIndex], k: int, column, corrupt: bool = False) -> Share:
-    """Row k of gkm: theory H then K, alpha = points[k mod 2^n], read from every column."""
+    """Row k of gkm: theory H for k < 2^n, else K, alpha = points[k mod 2^n], from every column."""
     t, i = divmod(k, len(points))
     theory = "HK"[t]
     alpha = points[i]
@@ -438,7 +434,7 @@ def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> lis
     (theory, alpha) rows of gkm, go into one list suite by suite, in the
     order named, and each suite's heaviest first by ``heaviest_first``, as
     ``table`` deals its columns: a pair suite's columns by |sigma(beta)|,
-    gkm's rows by |sigma(alpha)| within each theory.  One ``forked_map``
+    gkm's K rows, then its H rows, each by |sigma(alpha)|.  One ``forked_map``
     deals the list over one process per usable CPU.  The jobs read
     restriction values from one store that this call owns: each process fills
     it through ``column_values`` at most once per (beta, theory), and it goes
@@ -453,7 +449,7 @@ def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> lis
     points = enumerate_isotropic(n)
     order = heaviest_first(points)
     jobs = [(p, name, t * len(points) + i) for p, name in enumerate(suites)
-            for t in range(2 if name == "gkm" else 1) for i in order]
+            for t in ((1, 0) if name == "gkm" else (0,)) for i in order]
 
     @functools.lru_cache(maxsize=None)
     def column(beta, theory):

@@ -86,13 +86,16 @@ class PositiveRoot(namedtuple("PositiveRoot", "kind i j")):
             raise ValueError(f"need i < j in t{i}{'-' if kind == 'diff' else '+'}t{j}")
         return super().__new__(cls, kind, i, j)
 
+    def _check_rank(self, n: int) -> None:
+        """Raise ValueError unless the indices fit t_1..t_n; each method taking n calls it."""
+        if self.j > n:
+            raise ValueError(f"root {self} has index {self.j} past the {n} variables")
+
     def form_h(self, n: int) -> LaurentPolynomial:
         """The root as a linear form in t_1..t_n."""
-        ti = LaurentPolynomial.var(n, self.i)
-        if self.kind == "double":
-            return 2 * ti
-        tj = LaurentPolynomial.var(n, self.j)
-        return ti - tj if self.kind == "diff" else ti + tj
+        self._check_rank(n)
+        ti, tj = LaurentPolynomial.var(n, self.i), LaurentPolynomial.var(n, self.j)
+        return ti - tj if self.kind == "diff" else ti + tj  # 2t_i is t_i + t_i
 
     def factor_h(self, n: int) -> LaurentPolynomial:
         """The literal cohomology factor: minus the standard form."""
@@ -100,12 +103,10 @@ class PositiveRoot(namedtuple("PositiveRoot", "kind i j")):
 
     def exp_k(self, n: int) -> LaurentPolynomial:
         """The monomial e^theta for theta = factor_h: the K factor is this - 1."""
-        exps = [0] * n
-        if self.kind == "double":
-            exps[self.i - 1] = -2
-        else:  # -t_i + t_j or -t_i - t_j
-            exps[self.i - 1] = -1
-            exps[self.j - 1] = 1 if self.kind == "diff" else -1
+        self._check_rank(n)
+        exps = [0] * n  # -t_i + t_j, -t_i - t_j, or -t_i - t_i for 2t_i
+        exps[self.i - 1] -= 1
+        exps[self.j - 1] += 1 if self.kind == "diff" else -1
         return LaurentPolynomial.monomial(n, exps)
 
     def images(self, theory: str) -> tuple[tuple, ...]:
@@ -129,12 +130,10 @@ class PositiveRoot(namedtuple("PositiveRoot", "kind i j")):
 
     def label_map(self, n: int) -> dict[int, int]:
         """The reflection in this root as a permutation of the letters 1..2n."""
-        i, j = self.i, self.j
-        if self.kind == "diff":
-            return {i: j, j: i, bar(i, n): bar(j, n), bar(j, n): bar(i, n)}
-        if self.kind == "sum":
-            return {i: bar(j, n), bar(j, n): i, j: bar(i, n), bar(i, n): j}
-        return {i: bar(i, n), bar(i, n): i}
+        self._check_rank(n)
+        i = self.i
+        k = self.j if self.kind == "diff" else bar(self.j, n)  # the letter i goes to
+        return {i: k, k: i, bar(i, n): bar(k, n), bar(k, n): bar(i, n)}
 
     def __str__(self) -> str:
         if self.kind == "double":

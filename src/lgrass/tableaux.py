@@ -76,6 +76,17 @@ def entry_context(x: int, r: int, c: int) -> EntryContext:
     return EntryContext(x, r, c, x + c - r)
 
 
+def _entry_set(box, r: int, c: int) -> tuple[int, ...]:
+    """The sorted distinct entries of box (r, c); ValueError unless they are positive ints."""
+    try:
+        entries = tuple(sorted(set(map(int, box))))
+    except TypeError:
+        raise ValueError(f"box ({r}, {c}) is {box!r}, not a collection of entries") from None
+    if not entries or entries[0] < 1:
+        raise ValueError(f"box ({r}, {c}) needs a nonempty set of positive entries: {box!r}")
+    return entries
+
+
 class SetValuedShiftedTableau(_SlotValue):
     """Nonempty sets of positive integers on the boxes of a shifted diagram.
 
@@ -87,17 +98,10 @@ class SetValuedShiftedTableau(_SlotValue):
     __slots__ = ("rows",)
 
     def __init__(self, rows) -> None:
-        rows = tuple(tuple(tuple(sorted(set(map(int, box)))) for box in row)
-                     for row in rows)
+        rows = tuple(tuple(_entry_set(box, r, c) for c, box in enumerate(row, start=r))
+                     for r, row in enumerate(rows, start=1))
         # check_strict drops trailing zero parts; the rows drop the empty ones
-        rows = rows[:len(check_strict(len(row) for row in rows))]
-        for row in rows:
-            for box in row:
-                if not box:
-                    raise ValueError("every box needs a nonempty entry set")
-                if box[0] < 1:
-                    raise ValueError(f"entries must be positive: {box}")
-        self.rows = rows
+        self.rows = rows[:len(check_strict(len(row) for row in rows))]
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -11,8 +11,9 @@ from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, Positiv
                     billey_restrict_h, chern_consistency, divisible_by_k_root,
                     divisible_by_root_h, enumerate_isotropic, gkm_check,
                     gkm_check_table, gkm_edges, kclass_union_oracle, length,
-                    lowest_degree_form, positivity_certificate, reduced_word, reflect,
-                    restrict, restrict_h, restrict_k, run_verification)
+                    lowest_degree_form, positive_roots, positivity_certificate,
+                    reduced_word, reflect, restrict, restrict_h, restrict_k,
+                    run_verification)
 from lgrass import oracles, restriction
 
 from helpers import (bfs_weyl_lengths, inclusion_exclusion_union_class, per_pair_billey,
@@ -194,6 +195,22 @@ class TestGkmGraph:
         got = reflect(IsotropicIndex(2, (1, 2)), PositiveRoot("diff", 1, 2))
         assert got.values == (1, 2)
 
+    def test_reflection_rejects_root_past_rank(self):
+        # t1 - t4 at n=3 once mapped 1 <-> 4 and 6 <-> 3, giving {2, 4, 6}
+        with pytest.raises(ValueError, match="root t1-t4 has index 4 past the 3 variables"):
+            reflect(IsotropicIndex(3, (1, 2, 3)), PositiveRoot("diff", 1, 4))
+
+    def test_edges_from_lower_endpoint(self):
+        # each edge once, as (beta1, reflect(beta1, root)) with beta1 the lower endpoint
+        for n in (1, 2, 3, 4):
+            edges = gkm_edges(n)
+            assert len(set(edges)) == len(edges)
+            for e in edges:
+                assert e.beta1 < e.beta2 and reflect(e.beta1, e.root) == e.beta2
+            moved = {(b, r) for b in enumerate_isotropic(n) for r in positive_roots(n)
+                     if reflect(b, r) != b}
+            assert len(moved) == 2 * len(edges)
+
     def test_degree_bound(self):
         for b in enumerate_isotropic(2):
             moved = sum(1 for r in [PositiveRoot("diff", 1, 2),
@@ -233,6 +250,11 @@ class TestGkmCheck:
         message = "theory must be 'K' or 'H', got 'h'"
         with pytest.raises(ValueError, match=message):
             gkm_check_table(row, 2, "h")
+        # a row of equal values substitutes nothing, and must still be rejected
+        zeros = dict.fromkeys(row, LaurentPolynomial.zero(2))
+        assert gkm_check_table(zeros, 2, "H").ok
+        with pytest.raises(ValueError, match=message):
+            gkm_check_table(zeros, 2, "h")
         with pytest.raises(ValueError, match=message):
             PositiveRoot("double", 1, 1).images("h")
 

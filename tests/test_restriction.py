@@ -1,4 +1,5 @@
 import functools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +142,17 @@ class TestPositiveRoots:
     def test_exp_k(self):
         root = root_for_entry(1, 2, BETA)  # factor -t1-t2, e^theta = 1/(t1 t2)
         assert root.exp_k(3) == mono((-1, -1, 0))
+
+    @pytest.mark.parametrize("method", ["form_h", "factor_h", "exp_k", "label_map"])
+    @pytest.mark.parametrize("root", [PositiveRoot("diff", 1, 4), PositiveRoot("sum", 2, 4),
+                                      PositiveRoot("double", 4, 4)], ids=str)
+    def test_index_past_rank_rejected(self, method, root):
+        # exp_k once raised IndexError, form_h a ValueError about a variable, and
+        # label_map returned a map on the wrong letters
+        message = re.escape(f"root {root} has index 4 past the 3 variables")
+        with pytest.raises(ValueError, match=message):
+            getattr(root, method)(3)
+        assert getattr(root, method)(4)
 
     def test_certificates_exhaustive(self):
         allowed = set(positive_roots(3))

@@ -198,6 +198,13 @@ class TestTableauType:
         with pytest.raises(ValueError):
             tab(((0,),))
 
+    def test_rows_one_level_too_shallow(self):
+        # a box given as a bare int once died with "'int' object is not iterable"
+        with pytest.raises(ValueError, match=r"box \(1, 1\) is 1, not a collection"):
+            SetValuedShiftedTableau(((1,),))
+        with pytest.raises(ValueError, match=r"box \(2, 2\) is 3, not a collection"):
+            SetValuedShiftedTableau((((1,), (2,)), (3,)))
+
     def test_requires_strict_shape(self):
         with pytest.raises(ValueError):
             tab(((1,), (2,)), ((3,), (4,)))
