@@ -36,7 +36,8 @@ from .workers import forked_map
 # w0 K column peaks at 404 MB when each shape is dropped as the depth-first walk
 # yields it, but at 1 658 MB through `column_values`, which keeps the whole
 # column), and a cold `table --n 7 --theory H --out csv` 28 s and 672 MB, most
-# of it formatting 10.2 M monomials.
+# of it formatting 10.2 M monomials.  These times were taken before
+# ``forked_map`` pinned each process to a CPU of its own.
 TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # Largest n for `restrict`, which walks beta's DP only along the prefixes of
 # sigma(alpha).  Cold `restrict --n 7 --beta=-7,-6,-5,-4,-3,-2,-1` on 2 shared
@@ -57,7 +58,8 @@ RESTRICT_RANK_LIMIT = 7
 # (32 768 certificates, 2 runs).  `--n 5 --suite oracle` takes 1.5-2.0 s and
 # 32 MB, `--suite all` at n=5 2.1-3.4 s and 31 MB; the oracle's face-sum DP
 # over all n=6 pairs took 367-384 s on one process, so it stays at n <= 5.
-# --suite all takes the minimum, so it stays at 5 because of oracle.
+# --suite all takes the minimum, so it stays at 5 because of oracle.  These
+# times were taken before ``forked_map`` pinned each process to a CPU of its own.
 VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 6, "positivity": 7, "subword": 6}
 
 

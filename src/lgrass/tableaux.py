@@ -87,6 +87,14 @@ def _entry_set(box, r: int, c: int) -> tuple[int, ...]:
     return entries
 
 
+def _row_boxes(row, r: int) -> tuple:
+    """The boxes of row r; ValueError unless row is a collection of boxes."""
+    try:
+        return tuple(row)
+    except TypeError:
+        raise ValueError(f"row {r} is {row!r}, not a collection of boxes") from None
+
+
 class SetValuedShiftedTableau(_SlotValue):
     """Nonempty sets of positive integers on the boxes of a shifted diagram.
 
@@ -98,7 +106,8 @@ class SetValuedShiftedTableau(_SlotValue):
     __slots__ = ("rows",)
 
     def __init__(self, rows) -> None:
-        rows = tuple(tuple(_entry_set(box, r, c) for c, box in enumerate(row, start=r))
+        rows = tuple(tuple(_entry_set(box, r, c)
+                           for c, box in enumerate(_row_boxes(row, r), start=r))
                      for r, row in enumerate(rows, start=1))
         # check_strict drops trailing zero parts; the rows drop the empty ones
         self.rows = rows[:len(check_strict(len(row) for row in rows))]

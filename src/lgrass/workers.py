@@ -4,21 +4,44 @@
 rows through ``forked_map``.  Process 0 is the calling process; the others
 are fork children that send their results back through a pipe with
 ``marshal``, so nothing here imports multiprocessing, pickle or threading.
+Where the OS can pin processes, each process of a map runs on a CPU of its
+own, and the caller gets its own CPU set back when the map ends.  Linux
+often starts a fork child on its parent's CPU and can leave it there for
+about a second, so without the pins a sub-second map may run its processes
+one after another.  The placement is a hint: a CPU the kernel refuses
+leaves that process unpinned, and the outputs never depend on it.
 """
 
 from __future__ import annotations
 
+import errno
 import marshal
 import os
 import sys
 
 
 def usable_cpus() -> int:
+    return len(_usable_cpus())
+
+
+def _usable_cpus() -> list:
+    """The CPUs this process may run on, in order; as many Nones where the OS cannot list them."""
     if not hasattr(os, "fork"):
-        return 1
+        return [None]
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return sorted(os.sched_getaffinity(0))
+    return [None] * (os.cpu_count() or 1)
+
+
+def _pin(cpu: int | None) -> None:
+    """Run this process on cpu alone; None, or a CPU the kernel refuses, leaves it as it is."""
+    if cpu is None:
+        return
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError as exc:
+        if exc.errno != errno.EINVAL:
+            raise
 
 
 def forked_map(fn, jobs: list) -> list:
@@ -35,9 +58,19 @@ def forked_map(fn, jobs: list) -> list:
     that raises an Exception in a child raises here as the same class with
     the same arguments where this process can rebuild it (its cause holds the
     child's traceback), so a caller sees one error whichever process ran the
-    job; a child that failed otherwise raises RuntimeError.
+    job; a child that failed otherwise, or exited without a reply, raises
+    RuntimeError.
+
+    With w > 1 and ``os.sched_setaffinity``, process k runs pinned to the k-th
+    of this process's usable CPUs, read once per map, and this process gets
+    its CPU set back before this returns or raises.  So fn sees one usable
+    CPU, and a ``forked_map`` inside a job runs serially.  Placement is a
+    hint: a CPU the kernel refuses leaves that process unpinned.
     """
-    w = max(1, min(usable_cpus(), len(jobs)))
+    usable = _usable_cpus()
+    w = max(1, min(len(usable), len(jobs)))
+    pinned = w > 1 and hasattr(os, "sched_setaffinity")  # which sched_getaffinity comes with
+    cpus = usable if pinned else [None] * w
     shares = [[] for _ in range(w)]  # the job indices of each process
     for i in range(len(jobs)):
         k = i % w
@@ -53,17 +86,24 @@ def forked_map(fn, jobs: list) -> list:
                 os.close(write)
                 raise
             if pid == 0:
-                _run_child(fn, [jobs[i] for i in shares[k]], write)
+                _run_child(fn, [jobs[i] for i in shares[k]], write, cpus[k])
             os.close(write)
             children.append((pid, read))
+        _pin(cpus[0])  # after the forks, so that a child the kernel refuses stays unpinned
         results = [None] * len(jobs)
         for i in shares[0]:
             results[i] = fn(jobs[i])
     finally:
-        replies = [_reap(pid, read) for pid, read in children]
+        try:
+            if pinned:
+                os.sched_setaffinity(0, usable)
+        finally:
+            replies = [_reap(pid, read) for pid, read in children]
     for k, (status, data) in enumerate(replies, start=1):
         if status:
             raise RuntimeError(f"worker {k} of {w} failed with exit status {status}")
+        if not data:
+            raise RuntimeError(f"worker {k} of {w} exited without a reply")
         done, value = marshal.loads(data)
         if not done:
             module, qualname, args, trace = value
@@ -74,8 +114,8 @@ def forked_map(fn, jobs: list) -> list:
     return results
 
 
-def _run_child(fn, jobs: list, write: int):
-    """In a fork child: write the results or the job's exception to write, and exit.
+def _run_child(fn, jobs: list, write: int, cpu: int | None):
+    """In a fork child: pin to cpu, write the results or the job's exception to write, and exit.
 
     The pipe carries marshal((True, [fn(job) for job in jobs])), or
     marshal((False, (module, qualname, args, traceback))) for the first job
@@ -83,6 +123,7 @@ def _run_child(fn, jobs: list, write: int):
     """
     status = 1
     try:
+        _pin(cpu)
         try:
             reply = (True, [fn(job) for job in jobs])
         except Exception as exc:
