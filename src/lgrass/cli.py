@@ -3,7 +3,8 @@
 Subcommands: restrict, table, models, render, chart, verify.  Fixed-point
 indices are written as signed lists ("3,-2,-1" means {3, bar(2), bar(1)});
 raw labels in 1..2n are accepted too.  Exit codes: 0 ok, 1 verification
-failure, 2 usage error.
+failure, 2 usage error, 141 when the reader closes stdout early (128 +
+SIGPIPE, as a shell reports for ``cat`` ended the same way).
 
 Importing this module and parsing the arguments loads only the restriction
 path (indexing, tableaux, laurent, chart, restriction, workers).  A command
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .chart import ChartIndexSet, coordinate_weight_h, coordinate_weight_k
@@ -29,15 +31,15 @@ from .tableaux import MODEL_NAMES
 from .workers import forked_map
 
 # Largest n per table theory, from measured cost on 2 shared Xeon cores, where
-# `table` builds and renders its columns in one process per usable CPU: a cold
-# `table --n 6 --theory K --out json` takes 4.4-5.1 s and 218 MB in its largest
-# process (8.5-11 s and 340 MB on one process, before the one-pass Laurent
-# kernels; n=7 K was not run: n=6 already holds 2.58 M monomials, and the n=7
+# `table` builds and renders its columns in one process per usable CPU, each
+# pinned to a CPU of its own: a cold `table --n 6 --theory K --out json` takes
+# 2.5-3.2 s and 208 MB in its largest process (4.4-5.1 s and 218 MB before the
+# pinning; 8.5-11 s and 340 MB on one process, before the one-pass Laurent
+# kernels).  n=7 K was not run: n=6 already holds 2.58 M monomials, and the n=7
 # w0 K column peaks at 404 MB when each shape is dropped as the depth-first walk
 # yields it, but at 1 658 MB through `column_values`, which keeps the whole
-# column), and a cold `table --n 7 --theory H --out csv` 28 s and 672 MB, most
-# of it formatting 10.2 M monomials.  These times were taken before
-# ``forked_map`` pinned each process to a CPU of its own.
+# column.  A cold `table --n 7 --theory H --out csv` took 28 s and 672 MB before
+# the pinning, most of it formatting 10.2 M monomials.
 TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # Largest n for `restrict`, which walks beta's DP only along the prefixes of
 # sigma(alpha).  Cold `restrict --n 7 --beta=-7,-6,-5,-4,-3,-2,-1` on 2 shared
@@ -49,18 +51,21 @@ TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # and 701 MB in-process, and n=8 w0 itself was not run.
 RESTRICT_RANK_LIMIT = 7
 # Largest n per verify suite, from cold CLI runs on 2 shared Xeon cores, where
-# `verify` deals its beta columns and gkm rows over one process per usable CPU
-# (time, then peak RSS of the largest process): `--n 6 --suite gkm` 19-25 s and
-# 297 MB (86 016 edge checks; every process builds all n=6 K and H columns, K
-# rows first), `--suite positivity` 2.6-2.7 s and 21 MB (8 192 certificates),
-# `--suite subword` 0.5-0.6 s and 35 MB, `--suite chern` 37-40 s and 164 MB
-# (4 096 checks, 2 runs), and `--n 7 --suite positivity` 37-41 s and 42 MB
-# (32 768 certificates, 2 runs).  `--n 5 --suite oracle` takes 1.5-2.0 s and
-# 32 MB, `--suite all` at n=5 2.1-3.4 s and 31 MB; the oracle's face-sum DP
-# over all n=6 pairs took 367-384 s on one process, so it stays at n <= 5.
-# --suite all takes the minimum, so it stays at 5 because of oracle.  These
-# times were taken before ``forked_map`` pinned each process to a CPU of its own.
-VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 6, "positivity": 7, "subword": 6}
+# `verify` deals its beta columns and gkm rows over one process per usable CPU,
+# each pinned to a CPU of its own (time, then peak RSS of the largest process):
+# `--n 6 --suite gkm` 14-20 s and 297 MB (86 016 edge checks; every process
+# builds all n=6 K and H columns, K rows first), `--suite chern` 21-22 s and
+# 163 MB (4 096 checks), `--suite subword` 0.30 s and 34 MB, and `--n 5 --suite
+# all` 1.6 s and 31 MB.  positivity certifies each cell of sigma(beta) once per
+# theory and, while every cell passes, enumerates no tableau: `--n 7` takes
+# 0.12-0.16 s and `--n 10` 0.55-0.67 s (2 097 152 pair checks), each 17 MB.  A
+# beta with a failing cell is redone per tableau: at n=7 one corrupted weight,
+# the chart coordinate of entry (1, 1), fails 64 of the 128 betas, and the run
+# takes 18-27 s and 38 MB.  Before the pinning, `--n 5 --suite oracle` took
+# 1.5-2.0 s and 32 MB, and the oracle's face-sum DP over all n=6 pairs 367-384 s
+# on one process, so oracle stays at n <= 5, and --suite all, which takes the
+# minimum, with it.
+VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 6, "positivity": 10, "subword": 6}
 
 
 def parse_ints(text: str) -> list[int]:
@@ -340,9 +345,17 @@ def main(argv=None) -> int:
                 if getattr(args, flag) is not None:
                     parser.error(f"render --rho takes no --{flag}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; let that write go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

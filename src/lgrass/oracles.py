@@ -18,7 +18,11 @@ those two is common to both and only subword and gkm can catch it:
 * chern: the lowest-order form of each K restriction equals the cohomology
   restriction;
 * positivity: every factor of every tableau is e^theta - 1 (K) resp. theta
-  (H) for a positive root theta, by ``positivity_certificate``.
+  (H) for a positive root theta.  A factor depends only on beta, the theory
+  and its entry's chart cell (x, z), so each beta column certifies the cells
+  of sigma(beta) once per theory by ``certify_cells``, and enumerates no
+  tableau; only a beta with a failing cell is redone per tableau by
+  ``positivity_certificate``, for its exact failure list.
 
 ``run_verification`` splits the suites into jobs, one beta column of a pair
 suite or one (theory, alpha) row of gkm, and deals them over one process per
@@ -39,8 +43,9 @@ from .indexing import (IsotropicIndex, bar, enumerate_isotropic, heaviest_first,
 from .laurent import LaurentPolynomial, lowest_degree_form
 # restrict_k and restrict_h are unused here but stay importable: bench/tracer.py
 # patches them by name
-from .restriction import (PositiveRoot, check_theory, column_values, positive_roots,  # noqa: F401
-                          positivity_certificate, restrict, restrict_h, restrict_k)
+from .restriction import (PositiveRoot, certify_cells, check_theory,  # noqa: F401
+                          column_values, positive_roots, positivity_certificate, restrict,
+                          restrict_h, restrict_k)
 from .tableaux import enumerate_ssyt
 from .workers import forked_map
 
@@ -381,6 +386,28 @@ def _chern_job(points: list[IsotropicIndex], j: int, column) -> Share:
 
 
 def _positivity_job(points: list[IsotropicIndex], j: int, column) -> Share:
+    """Beta column j of positivity: every pair (alpha, beta), K then H, by its chart cells.
+
+    A factor depends only on beta, the theory and its entry's (x, z), and the
+    (x, z) of the entries of all tableaux of all pairs at beta are exactly
+    the cells of ``ShiftedDiagram(sigma(beta))``.  Each entry's (x, z) is a
+    cell, since the enumeration caps keep it there and ``entry_cut_pairs``
+    raises otherwise.  Conversely, the tableau of shape sigma(beta) on
+    sigma(beta) whose row r holds r in every box is semistandard, in both
+    theories, and its entry in box (x, z) is x, at the cell (x, z); so it uses
+    every cell.  Hence every pair passes iff every cell passes in K and in H,
+    and then the column passes its 2 * 2^n checks without enumerating a
+    tableau.  If a cell fails, this beta alone is redone by
+    ``positivity_certificate`` on every pair, one (x, z) memo per theory, so
+    its failure list is the per-tableau one; that re-enumerates beta's tableaux.
+    """
+    try:
+        for theory in ("K", "H"):
+            certify_cells(points[j], theory)
+    except Exception:  # CertificateError and anything it masks: redo beta per tableau
+        pass
+    else:
+        return Share(2 * len(points), [])
     checked = {"K": {}, "H": {}}  # one (x, z) -> root memo per theory, for this beta
 
     def certify(theory, a, b):

@@ -11,7 +11,8 @@ For alpha, beta with lam = sigma(alpha) and mu = sigma(beta):
 
 with bar labels resolved by t_bar(k) = 1/t_k resp. -t_k.  Every factor is
 e^theta - 1 (resp. theta) for a root theta that is positive for the opposite
-Borel; ``positivity_certificate`` materializes and checks that root.
+Borel; ``positivity_certificate`` materializes and checks that root per
+tableau entry, and ``certify_cells`` once per cell of sigma(beta).
 
 Both sums run over the single-entry fillings by box maxima.  Write w_x for
 the K factor of entry x plus one.  A set-valued box whose neighbours allow
@@ -49,7 +50,7 @@ from .chart import (coordinate_weight_h, coordinate_weight_k, entry_cut_pairs,  
 from .indexing import (IsotropicIndex, bar, enumerate_isotropic, length,  # noqa: F401
                        sigma, transpose)
 from .laurent import LaurentPolynomial
-from .tableaux import enumerate_ssvt, enumerate_ssyt
+from .tableaux import EntryContext, ShiftedDiagram, entry_context, enumerate_ssvt, enumerate_ssyt
 
 
 class RestrictionResult(namedtuple("RestrictionResult", "alpha beta theory value term_count")):
@@ -330,6 +331,37 @@ def restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> RestrictionResult
     return restrict(alpha, beta, "H")
 
 
+def _certified_root(entry: EntryContext, a: int, c: int, n: int, theory: str) -> PositiveRoot:
+    """The root of an entry's factor, read off its chart coordinate (a, c) and checked.
+
+    e^theta (K) resp. theta (H) of the root is compared with the weight w of
+    the coordinate, whose factor is w - 1 resp. w; CertificateError, naming
+    the entry, if the case analysis or the comparison fails.
+    """
+    root = _root_at(a, c, n)
+    if theory == "K":
+        expected, weight = root.exp_k(n), coordinate_weight_k(a, c, n)
+    else:
+        expected, weight = root.factor_h(n), coordinate_weight_h(a, c, n)
+    if expected != weight:
+        raise CertificateError(f"weight mismatch for entry {entry}: {weight} vs root {root}")
+    return root
+
+
+def certify_cells(beta: IsotropicIndex, theory: str) -> dict[tuple[int, int], PositiveRoot]:
+    """Cell (x, z) of sigma(beta) -> the certified root of an entry x with z(x) = z.
+
+    Each cell is checked as ``positivity_certificate`` checks an entry there,
+    as the entry x of box (x, z); the first failing cell raises.  One call
+    covers every factor of every tableau of every pair at (beta, theory)
+    (``oracles._positivity_job`` proves it).
+    """
+    n = _check_args(theory, beta)
+    cells = list(ShiftedDiagram(sigma(beta)).boxes())
+    return {cell: _certified_root(entry_context(cell[0], *cell), a, c, n, theory)
+            for cell, (a, c) in zip(cells, entry_cut_pairs(cells, beta))}
+
+
 def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex, theory: str,
                            checked: dict | None = None) -> list[list[PositiveRoot]]:
     """Per tableau, per entry: the certified positive root of each factor.
@@ -344,7 +376,8 @@ def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex, theory: 
     theory, so each distinct (x, z) is checked in full on its first
     occurrence and reused.  ``checked`` maps (x, z) to its certified root;
     a caller certifying many alphas at one (beta, theory) passes one dict to
-    all of them, and without it every call starts afresh.
+    all of them, and without it every call starts afresh.  The verify suite
+    runs ``certify_cells`` instead, which covers every pair at beta at once.
     """
     n = _check_args(theory, beta, alpha)
     lam, mu = sigma(alpha), sigma(beta)
@@ -358,16 +391,7 @@ def positivity_certificate(alpha: IsotropicIndex, beta: IsotropicIndex, theory: 
             root = checked.get((e.x, e.z))
             if root is None:
                 ((a, c),) = entry_cut_pairs(((e.x, e.z),), beta)
-                root = _root_at(a, c, n)
-                if theory == "K":
-                    expected, weight = root.exp_k(n), coordinate_weight_k(a, c, n)
-                else:
-                    expected, weight = root.factor_h(n), coordinate_weight_h(a, c, n)
-                if expected != weight:
-                    raise CertificateError(
-                        f"weight mismatch for entry {e}: {weight} vs root {root}")
-                checked[e.x, e.z] = root
+                root = checked[e.x, e.z] = _certified_root(e, a, c, n, theory)
             roots.append(root)
         certificates.append(roots)
     return certificates
-

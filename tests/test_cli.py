@@ -266,6 +266,19 @@ class TestTableCommand:
         proc = python("-m", "lgrass.cli", "table", "--n", "3", "--theory", "K", "--out", "json")
         assert proc.stdout == text.encode()
 
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # the n=5 K table is 3.4 MB, more than a pipe holds, so a write meets the closed end
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.Popen([sys.executable, "-m", "lgrass.cli", "table", "--n", "5",
+                                 "--theory", "K", "--out", "json"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b"", err.decode()  # no traceback, no "Exception ignored"
+
     def test_import_starts_no_process_or_thread_machinery(self):
         # -S: site's own imports would hide what lgrass loads
         proc = python("-S", "-c", "import sys, lgrass.cli, lgrass.oracles, lgrass.workers; "
@@ -609,9 +622,19 @@ class TestVerifyRankGuard:
             main(["verify", "--n", "7", "--suite", suite])
         assert exc.value.code == 2
 
-    def test_positivity_n8_exit_2(self):
+    @pytest.mark.parametrize("n,digest", [
+        (7, "5cf451134715d870b7d14961d3550f6ce60a0af0157cf5c3b117a719ae8ccfd0"),
+        (10, "7ff91f0ba3cea4da09ca883acab4ad1bd7e82466f50099efb48e731ca0b3c6a5"),
+    ])
+    def test_positivity_pinned_bytes(self, capsys, n, digest):
+        code, text = run(capsys, "verify", "--n", str(n), "--suite", "positivity", "--json")
+        assert code == 0
+        assert json.loads(text)["reports"][0]["checks"] == 2 * 4 ** n
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_positivity_n11_exit_2(self):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "8", "--suite", "positivity"])
+            main(["verify", "--n", "11", "--suite", "positivity"])
         assert exc.value.code == 2
 
     def test_gkm_corrupt_n4_counts(self, capsys):

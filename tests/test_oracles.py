@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, PositiveRoot,
-                    billey_restrict_h, chern_consistency, divisible_by_k_root,
-                    divisible_by_root_h, enumerate_isotropic, gkm_check,
-                    gkm_check_table, gkm_edges, kclass_union_oracle, length,
-                    lowest_degree_form, positive_roots, positivity_certificate,
+                    SetValuedShiftedTableau, ShiftedDiagram, billey_restrict_h,
+                    chern_consistency, divisible_by_k_root, divisible_by_root_h,
+                    enumerate_isotropic, enumerate_ssvt, enumerate_ssyt, gkm_check,
+                    gkm_check_table, gkm_edges, is_on, is_semistandard, kclass_union_oracle,
+                    length, lowest_degree_form, positive_roots, positivity_certificate,
                     reduced_word, reflect, restrict, restrict_h, restrict_k,
-                    run_verification)
+                    run_verification, sigma)
 from lgrass import oracles, restriction
 
 from helpers import (bfs_weyl_lengths, inclusion_exclusion_union_class, per_pair_billey,
@@ -313,24 +314,80 @@ class TestSharedMemos:
     def test_positivity_suite_fails_where_fresh_calls_fail(self, monkeypatch, name):
         # (1, 6) is the cut pair of entry (1, 1) at every beta with beta'(1) = 1;
         # a memo shared across betas would reuse another beta's root for (1, 1)
-        weight = getattr(restriction, name)
-
-        def perturbed(a, b, n):
-            w = weight(a, b, n)
-            return w + 1 if (a, b) == (1, 6) else w
-
-        monkeypatch.setattr(restriction, name, perturbed)
-        points = enumerate_isotropic(3)
-        expected = []
-        for a in points:
-            for b in points:
-                for theory in ("K", "H"):
-                    try:
-                        positivity_certificate(a, b, theory)
-                    except CertificateError as exc:
-                        expected.append(f"{theory} ({a}; {b}): {exc}")
+        expected = perturbed_weight_failures(monkeypatch, name, 3)
         assert expected
         assert run_verification(3, ("positivity",))[0].failures == expected
+
+
+def perturbed_weight_failures(monkeypatch, name, n):
+    """Perturb ``restriction.<name>`` at the cut pair of entry (1, 1) where beta'(1) = 1.
+
+    Returns the failure list of fresh per-pair ``positivity_certificate``
+    calls, alpha-major, then beta, then K before H: the per-tableau list.
+    """
+    weight = getattr(restriction, name)
+    target = (1, 2 * n)
+
+    def perturbed(a, b, rank):
+        w = weight(a, b, rank)
+        return w + 1 if (a, b) == target else w
+
+    monkeypatch.setattr(restriction, name, perturbed)
+    points = enumerate_isotropic(n)
+    expected = []
+    for a in points:
+        for b in points:
+            for theory in ("K", "H"):
+                try:
+                    positivity_certificate(a, b, theory)
+                except CertificateError as exc:
+                    expected.append(f"{theory} ({a}; {b}): {exc}")
+    return expected
+
+
+class TestPositivityCells:
+    """The positivity suite certifies the cells of sigma(beta), not each tableau."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_entries_of_all_pairs_are_the_cells(self, n):
+        # and each cell's root is the one the per-tableau certificates give there
+        points = enumerate_isotropic(n)
+        for b in points:
+            cells = set(ShiftedDiagram(sigma(b)).boxes())
+            for theory, tableaux_of in (("K", enumerate_ssvt), ("H", enumerate_ssyt)):
+                roots = {}
+                for a in points:
+                    certificates = positivity_certificate(a, b, theory)
+                    for s, certificate in zip(tableaux_of(sigma(a), sigma(b)), certificates):
+                        roots.update(zip(((e.x, e.z) for e in s.entries()), certificate))
+                assert set(roots) == cells
+                assert restriction.certify_cells(b, theory) == roots
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_row_r_holding_r_covers_every_cell(self, n):
+        for b in enumerate_isotropic(n):
+            mu = sigma(b)
+            s = SetValuedShiftedTableau([[(r,)] * part for r, part in enumerate(mu, start=1)])
+            assert s.shape == mu and is_semistandard(s) and is_on(s, mu)
+            assert [(e.x, e.z) for e in s.entries()] == list(ShiftedDiagram(mu).boxes())
+
+    def test_passing_run_enumerates_no_tableau(self, monkeypatch):
+        def refuse(lam, mu):
+            raise AssertionError("a passing positivity run enumerated a tableau")
+
+        monkeypatch.setattr(restriction, "enumerate_ssvt", refuse)
+        monkeypatch.setattr(restriction, "enumerate_ssyt", refuse)
+        (report,) = run_verification(4, ("positivity",))
+        assert report.ok and report.checks == 512
+
+    @pytest.mark.parametrize("name", ["coordinate_weight_k", "coordinate_weight_h"])
+    def test_corrupted_cell_n4_gives_the_per_tableau_failures(self, monkeypatch, name):
+        expected = perturbed_weight_failures(monkeypatch, name, 4)
+        assert len({msg.split(";")[1] for msg in expected}) > 1  # failures at several betas
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            assert run_verification(4, ("positivity",))[0].failures == expected
 
 
 class TestDiagonalRestriction:
