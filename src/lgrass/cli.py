@@ -33,7 +33,8 @@ from .workers import forked_map
 # Largest n per table theory, from measured cost on 2 shared Xeon cores, where
 # `table` builds and renders its columns in one process per usable CPU, each
 # pinned to a CPU of its own: a cold `table --n 6 --theory K --out json` takes
-# 2.5-3.2 s and 208 MB in its largest process (4.4-5.1 s and 218 MB before the
+# about 2.9 s and 179 MB in its largest process (208 MB while the parent read a
+# child's whole reply before decoding it; 4.4-5.1 s and 218 MB before the
 # pinning; 8.5-11 s and 340 MB on one process, before the one-pass Laurent
 # kernels).  n=7 K was not run: n=6 already holds 2.58 M monomials, and the n=7
 # w0 K column peaks at 404 MB when each shape is dropped as the depth-first walk
@@ -53,19 +54,19 @@ RESTRICT_RANK_LIMIT = 7
 # Largest n per verify suite, from cold CLI runs on 2 shared Xeon cores, where
 # `verify` deals its beta columns and gkm rows over one process per usable CPU,
 # each pinned to a CPU of its own (time, then peak RSS of the largest process):
-# `--n 6 --suite gkm` 14-20 s and 297 MB (86 016 edge checks; every process
-# builds all n=6 K and H columns, K rows first), `--suite chern` 21-22 s and
-# 163 MB (4 096 checks), `--suite subword` 0.30 s and 34 MB, and `--n 5 --suite
-# all` 1.6 s and 31 MB.  positivity certifies each cell of sigma(beta) once per
-# theory and, while every cell passes, enumerates no tableau: `--n 7` takes
-# 0.12-0.16 s and `--n 10` 0.55-0.67 s (2 097 152 pair checks), each 17 MB.  A
-# beta with a failing cell is redone per tableau: at n=7 one corrupted weight,
-# the chart coordinate of entry (1, 1), fails 64 of the 128 betas, and the run
-# takes 18-27 s and 38 MB.  Before the pinning, `--n 5 --suite oracle` took
-# 1.5-2.0 s and 32 MB, and the oracle's face-sum DP over all n=6 pairs 367-384 s
-# on one process, so oracle stays at n <= 5, and --suite all, which takes the
-# minimum, with it.
-VERIFY_RANK_LIMITS = {"oracle": 5, "gkm": 6, "chern": 6, "positivity": 10, "subword": 6}
+# `--n 6 --suite oracle` 3.2 s and 144 MB (4 096 checks; the face-sum DP keeps
+# only the minimal live cuts, where keeping every cut took 367-384 s over all
+# n=6 pairs on one process), `--suite gkm` 14 s and 295 MB (86 016 edge checks;
+# each n=6 K and H column is built once per run and shared by fork), `--suite
+# chern` 21-22 s and 163 MB (4 096 checks), `--suite subword` 0.30 s and 34 MB,
+# `--suite all` 34 s and 340 MB, and `--n 5 --suite all` 1.0-1.1 s and 28 MB.
+# positivity certifies each cell of sigma(beta) once per theory and, while
+# every cell passes, enumerates no tableau: `--n 7` takes 0.12-0.16 s and
+# `--n 10` 0.55-0.67 s (2 097 152 pair checks), each 17 MB.  A theory with a
+# failing cell at a beta is redone there per tableau.  Every suite but
+# positivity stops at n=6: oracle, gkm and chern read whole n=7 K columns,
+# and the w0 one alone takes 1 658 MB through `column_values`.
+VERIFY_RANK_LIMITS = {"oracle": 6, "gkm": 6, "chern": 6, "positivity": 10, "subword": 6}
 
 
 def parse_ints(text: str) -> list[int]:

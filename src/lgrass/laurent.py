@@ -113,6 +113,15 @@ class LaurentPolynomial:
         out._bound = bound
         return out
 
+    def _to_marshal(self) -> tuple:
+        """(n, packed terms, bound): the polynomial as a value ``marshal`` can write."""
+        return self.n, self._terms, self._bound
+
+    @classmethod
+    def _from_marshal(cls, data: tuple) -> "LaurentPolynomial":
+        """The polynomial of a ``_to_marshal`` value written by this same module."""
+        return cls._of(*data)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -7,8 +7,9 @@ the same chart coordinates (``entry_cut_pairs``) and weights
 those two is common to both and only subword and gkm can catch it:
 
 * oracle: the K-class of the union of the tableau-indexed coordinate
-  subspaces as a Stanley-Reisner face sum, by one DP over the coordinates of
-  the cut sets and their weights;
+  subspaces as a Stanley-Reisner face sum, by one DP over the chart
+  coordinates whose states hold only the inclusion-minimal live cuts, as
+  bitmasks (``kclass_union_oracle``);
 * subword: a subword (Billey-type) formula for the cohomology restriction,
   one DP per beta over the subwords of a reduced word of beta's window
   ``beta.signed``, with the hyperoctahedral group acting on plain windows;
@@ -21,15 +22,17 @@ those two is common to both and only subword and gkm can catch it:
   (H) for a positive root theta.  A factor depends only on beta, the theory
   and its entry's chart cell (x, z), so each beta column certifies the cells
   of sigma(beta) once per theory by ``certify_cells``, and enumerates no
-  tableau; only a beta with a failing cell is redone per tableau by
-  ``positivity_certificate``, for its exact failure list.
+  tableau; only a theory with a failing cell at a beta is redone there per
+  tableau by ``positivity_certificate``, for its exact failure list.
 
 ``run_verification`` splits the suites into jobs, one beta column of a pair
 suite or one (theory, alpha) row of gkm, and deals them over one process per
 usable CPU (``workers.forked_map``).  Its jobs read restriction values from a
-store of ``column_values`` that lives for that one call; the public single
-checks (``chern_consistency``, ``gkm_check``) read pruned ``restrict``.
-Nothing here keeps a restriction value between calls.
+store of ``column_values`` that lives for that one call; when gkm runs, every
+column is built once by a first ``forked_map`` and the store is filled before
+the suite jobs fork.  The public single checks (``chern_consistency``,
+``gkm_check``) read pruned ``restrict``.  Nothing here keeps a restriction
+value between calls; ``_chart_bits`` keeps chart data per beta.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .chart import coordinate_weight_k
+from .chart import coordinate_weight_k, entry_cut_pairs
 from .indexing import (IsotropicIndex, bar, enumerate_isotropic, heaviest_first, length,
                        sigma)
 from .laurent import LaurentPolynomial, lowest_degree_form
@@ -46,7 +49,8 @@ from .laurent import LaurentPolynomial, lowest_degree_form
 from .restriction import (PositiveRoot, certify_cells, check_theory,  # noqa: F401
                           column_values, positive_roots, positivity_certificate, restrict,
                           restrict_h, restrict_k)
-from .tableaux import enumerate_ssyt
+# enumerate_ssyt is unused here but stays importable: bench/tracer.py patches it by name
+from .tableaux import ShiftedDiagram, enumerate_ssyt, ssyt_fillings  # noqa: F401
 from .workers import forked_map
 
 
@@ -167,41 +171,98 @@ def billey_restrict_h(alpha: IsotropicIndex, beta: IsotropicIndex) -> LaurentPol
 # Stanley-Reisner union oracle
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _chart_bits(beta: IsotropicIndex) -> tuple[dict[tuple[int, int], int], tuple]:
+    """(cell (x, z) of sigma(beta) -> the bit of its chart coordinate, each bit's K weight).
+
+    One ``entry_cut_pairs`` call over the cells; distinct cells have distinct
+    coordinates, which get bits 1, 2, 4, ... in sorted coordinate order, and
+    bit i keeps the ``coordinate_weight_k`` monomial of its coordinate at
+    position i.  Chart data, no restriction value, so it is cached per beta.
+    """
+    cells = list(ShiftedDiagram(sigma(beta)).boxes())
+    pairs = entry_cut_pairs(cells, beta)
+    order = sorted(pairs)
+    bit_of = {pair: 1 << i for i, pair in enumerate(order)}
+    return ({cell: bit_of[pair] for cell, pair in zip(cells, pairs)},
+            tuple(coordinate_weight_k(a, b, beta.n) for a, b in order))
+
+
+def _minimal(masks) -> frozenset[int]:
+    """The inclusion-minimal masks among masks."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return frozenset(kept)
+
+
 def kclass_union_oracle(alpha: IsotropicIndex, beta: IsotropicIndex,
                         limit=None) -> LaurentPolynomial:
     """K-class of the union of the tableau-cut coordinate subspaces.
 
-    The union is a Stanley-Reisner scheme: its faces are the coordinate sets
-    that miss some cut set, and its class is the face sum of
-    prod_{c in F} w_c prod_{c not in F} (1 - w_c) (Miller-Sturmfels, Thm
-    1.13).  Coordinates in no cut contribute w + (1 - w) = 1, so one DP runs
-    over the others in sorted order; a state is the bitmask of cut sets not
-    yet hit.  Excluding c multiplies by 1 - w_c, including it multiplies by
-    w_c and clears the cuts that contain c, and a state whose mask reaches 0
-    is not a face.  Independent of the set-valued sum, but must agree with
-    it.  ``limit``, the old component guard that callers may still pass, is
-    ignored: the DP has no guard.
-    """
-    from .chart import tableau_cut_pairs
+    The union is a Stanley-Reisner scheme (Miller-Sturmfels, Thm 1.13;
+    Knutson-Miller 2004): its faces are the coordinate sets F that miss some
+    cut, and its class is the face sum of prod_{c in F} w_c prod_{c not in F}
+    (1 - w_c).  A cut is the set of chart coordinates of one single-entry
+    tableau's entries, a bitmask over ``_chart_bits(beta)``, and the distinct
+    masks are read off ``ssyt_fillings`` with no tableau built.
 
+    One DP decides the coordinates in bit order.  A state is the set of live
+    cuts, those F has not hit yet, each cut down to the coordinates not yet
+    decided and kept only if inclusion-minimal: if a smaller live cut ends
+    unhit so does a larger one, so the larger one is redundant.  Including c
+    multiplies by w_c and kills the live cuts holding c; excluding it
+    multiplies by 1 - w_c and removes c from them.  A coordinate in no live
+    cut contributes w + (1 - w) = 1, so a state goes straight to the lowest
+    bit of its cuts.  A state holding an empty cut has a missed cut whatever
+    comes next, so its value joins the sum, every other coordinate
+    contributing 1; a state with no live cut is no face and is dropped.
+    Independent of the set-valued sum, but must agree with it.  ``limit``,
+    the old component guard that callers may still pass, is ignored: the DP
+    has no guard.
+    """
     if alpha.n != beta.n:
         raise ValueError("rank mismatch")
     n = alpha.n
-    cuts = [set(tableau_cut_pairs(p, beta))
-            for p in enumerate_ssyt(sigma(alpha), sigma(beta))]
-    states = {(1 << len(cuts)) - 1: LaurentPolynomial.one(n)} if cuts else {}
-    for c in sorted(set().union(*cuts)):
-        w = coordinate_weight_k(*c, n)
-        hit = sum(1 << i for i, cut in enumerate(cuts) if c in cut)
-        moves: dict[int, LaurentPolynomial] = {}
-        for mask, value in states.items():
+    bit, weights = _chart_bits(beta)
+
+    def cut(filled):
+        mask = 0
+        for (r, c), (x,) in filled.items():
+            mask |= bit[x, x + c - r]
+        return mask
+
+    faces: list[LaurentPolynomial] = []
+    todo: list[dict] = [{} for _ in weights]  # lowest live bit -> state -> values reaching it
+
+    def reach(state: frozenset[int], value: LaurentPolynomial) -> None:
+        if 0 in state:
+            faces.append(value)
+            return
+        union = 0
+        for m in state:
+            union |= m
+        todo[(union & -union).bit_length() - 1].setdefault(state, []).append(value)
+
+    masks = ssyt_fillings(sigma(alpha), sigma(beta), cut)
+    if masks:
+        reach(_minimal(masks), LaurentPolynomial.one(n))
+    for i, group in enumerate(todo):
+        low, w = 1 << i, weights[i]
+        for state, values in group.items():
+            value = LaurentPolynomial.sum_of(n, values)
             included = value * w
-            for to, add in ((mask, value - included), (mask & ~hit, included)):
-                if to:
-                    got = moves.get(to)
-                    moves[to] = add if got is None else got + add
-        states = moves
-    return LaurentPolynomial.sum_of(n, states.values())
+            missed = [m for m in state if not m & low]
+            shrunk = [m ^ low for m in state if m & low]
+            if missed:
+                reach(frozenset(missed), included)
+            # the shrunk cuts stay minimal, but a missed cut may now contain one
+            reach(frozenset(shrunk + [u for u in missed
+                                      if not any(d & u == d for d in shrunk)]),
+                  value - included)
+        group.clear()
+    return LaurentPolynomial.sum_of(n, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -395,29 +456,36 @@ def _positivity_job(points: list[IsotropicIndex], j: int, column) -> Share:
     raises otherwise.  Conversely, the tableau of shape sigma(beta) on
     sigma(beta) whose row r holds r in every box is semistandard, in both
     theories, and its entry in box (x, z) is x, at the cell (x, z); so it uses
-    every cell.  Hence every pair passes iff every cell passes in K and in H,
-    and then the column passes its 2 * 2^n checks without enumerating a
-    tableau.  If a cell fails, this beta alone is redone by
-    ``positivity_certificate`` on every pair, one (x, z) memo per theory, so
-    its failure list is the per-tableau one; that re-enumerates beta's tableaux.
+    every cell.  Hence every pair passes a theory iff every cell passes in it,
+    and a theory whose cells pass has its check pass on every pair without
+    enumerating a tableau.  A theory with a failing cell is redone at this
+    beta alone by ``positivity_certificate`` on every pair, one (x, z) memo,
+    so its failure list is the per-tableau one; only that theory re-enumerates
+    beta's tableaux, and the other keeps its check slot with a check that passes.
     """
-    try:
-        for theory in ("K", "H"):
-            certify_cells(points[j], theory)
-    except Exception:  # CertificateError and anything it masks: redo beta per tableau
-        pass
-    else:
-        return Share(2 * len(points), [])
-    checked = {"K": {}, "H": {}}  # one (x, z) -> root memo per theory, for this beta
-
-    def certify(theory, a, b):
+    checks = []
+    for theory in ("K", "H"):
         try:
-            positivity_certificate(a, b, theory, checked[theory])
-        except Exception as exc:  # CertificateError and anything it masks
-            return f"{theory} ({a}; {b}): {exc}"
+            certify_cells(points[j], theory)
+        except Exception:  # CertificateError and anything it masks: redo it per tableau
+            checks.append(functools.partial(_certify_pair, theory, {}))
+        else:
+            checks.append(_passes)
+    if all(check is _passes for check in checks):
+        return Share(len(checks) * len(points), [])
+    return _pair_column(points, j, *checks)
 
-    return _pair_column(points, j, functools.partial(certify, "K"),
-                        functools.partial(certify, "H"))
+
+def _passes(a: IsotropicIndex, b: IsotropicIndex) -> None:
+    """A pair check that always passes."""
+
+
+def _certify_pair(theory: str, checked: dict, a: IsotropicIndex, b: IsotropicIndex):
+    """None if ``positivity_certificate`` certifies (a, b), else its failure message."""
+    try:
+        positivity_certificate(a, b, theory, checked)
+    except Exception as exc:  # CertificateError and anything it masks
+        return f"{theory} ({a}; {b}): {exc}"
 
 
 def _subword_job(points: list[IsotropicIndex], j: int, column) -> Share:
@@ -463,10 +531,15 @@ def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> lis
     ``table`` deals its columns: a pair suite's columns by |sigma(beta)|,
     gkm's K rows, then its H rows, each by |sigma(alpha)|.  One ``forked_map``
     deals the list over one process per usable CPU.  The jobs read
-    restriction values from one store that this call owns: each process fills
-    it through ``column_values`` at most once per (beta, theory), and it goes
-    when the call returns.  Each report is then rebuilt in single-process
-    order: alpha, beta, check for the pair suites, theory then alpha for gkm.
+    restriction values from one store that this call owns, filled through
+    ``column_values`` once per (beta, theory) it holds, and it goes when the
+    call returns.  A gkm row reads every column, so when gkm runs, a first
+    ``forked_map`` deals every column build, K then H, and fills the store
+    from the replies before the suite jobs fork, so every process reads
+    columns built once per run.  Without gkm each process fills the store
+    lazily, with only the columns of its own jobs.  Each report is then
+    rebuilt in single-process order: alpha, beta, check for the pair suites,
+    theory then alpha for gkm.
     """
     if corrupt and "gkm" not in suites:
         raise ValueError(f"corrupt perturbs the gkm suite only, not run in {list(suites)}")
@@ -478,9 +551,21 @@ def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> lis
     jobs = [(p, name, t * len(points) + i) for p, name in enumerate(suites)
             for t in ((1, 0) if name == "gkm" else (0,)) for i in order]
 
-    @functools.lru_cache(maxsize=None)
+    store: dict[tuple[IsotropicIndex, str], dict[IsotropicIndex, LaurentPolynomial]] = {}
+    if "gkm" in suites:
+        builds = [(points[i], theory) for theory in "KH" for i in order]
+
+        def build(key):
+            return [value._to_marshal() for value in column_values(*key, points)]
+
+        for key, values in zip(builds, forked_map(build, builds)):
+            store[key] = dict(zip(points, map(LaurentPolynomial._from_marshal, values)))
+
     def column(beta, theory):
-        return dict(zip(points, column_values(beta, theory, points)))
+        values = store.get((beta, theory))
+        if values is None:
+            values = store[beta, theory] = dict(zip(points, column_values(beta, theory, points)))
+        return values
 
     def run(job):
         _, name, k = job

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
+from functools import partial
 
 from .indexing import check_strict, transpose
 
@@ -186,21 +187,25 @@ def _nonempty_subsets(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield head + tail
 
 
-def _enumerate(lam, mu, set_valued: bool) -> tuple[SetValuedShiftedTableau, ...]:
-    """The tableaux of ``enumerate_ssvt`` resp. ``enumerate_ssyt``; lam and mu come checked."""
+def _enumerate(lam, mu, set_valued: bool, leaf) -> list:
+    """[leaf(filled) for each tableau of ``enumerate_ssvt`` resp. ``enumerate_ssyt``].
+
+    filled maps each box (r, c) to its sorted entry tuple; it is one dict,
+    refilled between calls.  lam and mu come checked.
+    """
     # entry x fits at offset d = c - r iff d < mu_x; mu strict makes the
     # admissible x a prefix 1..caps[d]
     caps = transpose(mu)
     if lam and lam[0] > len(caps):
-        return ()  # the last box of row 1 admits no entry
+        return []  # the last box of row 1 admits no entry
     boxes = list(ShiftedDiagram(lam).boxes())
 
-    results: list[SetValuedShiftedTableau] = []
+    results: list = []
     filled: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def rec(idx: int) -> None:
         if idx == len(boxes):
-            results.append(SetValuedShiftedTableau.of_boxes(lam, filled))
+            results.append(leaf(filled))
             return
         r, c = boxes[idx]
         lo = 1
@@ -224,7 +229,7 @@ def _enumerate(lam, mu, set_valued: bool) -> tuple[SetValuedShiftedTableau, ...]
         filled.pop((r, c), None)
 
     rec(0)
-    return tuple(results)
+    return results
 
 
 def enumerate_ssvt(lam, mu) -> list[SetValuedShiftedTableau]:
@@ -233,9 +238,20 @@ def enumerate_ssvt(lam, mu) -> list[SetValuedShiftedTableau]:
     Deterministic order: lexicographic on the flattened (box, sorted set)
     sequence.  The empty shape yields exactly one empty tableau.
     """
-    return list(_enumerate(check_strict(lam), check_strict(mu), True))
+    lam = check_strict(lam)
+    return _enumerate(lam, check_strict(mu), True, partial(SetValuedShiftedTableau.of_boxes, lam))
 
 
 def enumerate_ssyt(lam, mu) -> list[SetValuedShiftedTableau]:
     """The single-entry (Young) subset of ``enumerate_ssvt``."""
-    return list(_enumerate(check_strict(lam), check_strict(mu), False))
+    lam = check_strict(lam)
+    return _enumerate(lam, check_strict(mu), False, partial(SetValuedShiftedTableau.of_boxes, lam))
+
+
+def ssyt_fillings(lam, mu, leaf) -> list:
+    """[leaf(filled) for each tableau of ``enumerate_ssyt(lam, mu)``], in its order.
+
+    No tableau is built: filled maps each box (r, c) to its one-entry tuple,
+    and is one dict, refilled between calls.
+    """
+    return _enumerate(check_strict(lam), check_strict(mu), False, leaf)

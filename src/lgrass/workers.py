@@ -1,9 +1,12 @@
 """Deal a list of jobs over one process per usable CPU, by ``os.fork``.
 
-``table`` deals its beta columns and ``verify`` its suite columns and gkm
-rows through ``forked_map``.  Process 0 is the calling process; the others
-are fork children that send their results back through a pipe with
-``marshal``, so nothing here imports multiprocessing, pickle or threading.
+``table`` deals its beta columns, and ``verify`` its column builds, suite
+columns and gkm rows, through ``forked_map``.  Process 0 is the calling
+process; the others are fork children that send their results back through
+a pipe with ``marshal``, so nothing here imports multiprocessing, pickle or
+threading.  A child writes one length-prefixed record per job once its last
+job is done, and the caller decodes them one at a time, so it never holds a
+child's whole reply as bytes beside the values decoded from it.
 Where the OS can pin processes, each process of a map runs on a CPU of its
 own, and the caller gets its own CPU set back when the map ends.  Linux
 often starts a fork child on its parent's CPU and can leave it there for
@@ -54,12 +57,13 @@ def forked_map(fn, jobs: list) -> list:
     list this evens the loads out better than a plain round-robin deal, which
     gives process 0 the heaviest job of every round.  Process 0 is this one
     and the others are fork children, so fn must return values that marshal
-    can write.  Every child is reaped before this returns or raises.  A job
+    can write; each child's results come back one job per record (see
+    ``_run_child``).  Every child is reaped before this returns or raises.  A job
     that raises an Exception in a child raises here as the same class with
     the same arguments where this process can rebuild it (its cause holds the
     child's traceback), so a caller sees one error whichever process ran the
-    job; a child that failed otherwise, or exited without a reply, raises
-    RuntimeError.
+    job; a child that failed otherwise, or exited before the record of its
+    last job, raises RuntimeError.
 
     With w > 1 and ``os.sched_setaffinity``, process k runs pinned to the k-th
     of this process's usable CPUs, read once per map, and this process gets
@@ -99,38 +103,48 @@ def forked_map(fn, jobs: list) -> list:
                 os.sched_setaffinity(0, usable)
         finally:
             replies = [_reap(pid, read) for pid, read in children]
-    for k, (status, data) in enumerate(replies, start=1):
+    for k, (status, records) in enumerate(replies, start=1):
         if status:
             raise RuntimeError(f"worker {k} of {w} failed with exit status {status}")
-        if not data:
-            raise RuntimeError(f"worker {k} of {w} exited without a reply")
-        done, value = marshal.loads(data)
-        if not done:
-            module, qualname, args, trace = value
+        if records and not records[-1][0]:
+            module, qualname, args, trace = records[-1][1]
             raise _rebuilt(module, qualname, args) from RuntimeError(
                 f"worker {k} of {w} raised:\n{trace}")
-        for i, result in zip(shares[k], value):
+        if len(records) != len(shares[k]):
+            raise RuntimeError(f"worker {k} of {w} exited without a reply")
+        for i, (_, result) in zip(shares[k], records):
             results[i] = result
     return results
 
 
-def _run_child(fn, jobs: list, write: int, cpu: int | None):
-    """In a fork child: pin to cpu, write the results or the job's exception to write, and exit.
+_LENGTH = 8  # bytes of the big-endian length before each record
 
-    The pipe carries marshal((True, [fn(job) for job in jobs])), or
-    marshal((False, (module, qualname, args, traceback))) for the first job
-    that raised an Exception.
+
+def _send(pipe, value) -> None:
+    """Write one record: the length of marshal(value), then those bytes."""
+    data = marshal.dumps(value)
+    pipe.write(len(data).to_bytes(_LENGTH, "big"))
+    pipe.write(data)
+
+
+def _run_child(fn, jobs: list, write: int, cpu: int | None):
+    """In a fork child: pin to cpu, run the jobs, write their records to write, and exit.
+
+    Every job runs before the first record is written, so a full pipe never
+    stalls a job.  Then the pipe carries one record (True, fn(job)) per job,
+    in order; or, if a job raised an Exception, the one record
+    (False, (module, qualname, args, traceback)) of the first that did.
     """
     status = 1
     try:
         _pin(cpu)
         try:
-            reply = (True, [fn(job) for job in jobs])
+            records = [(True, fn(job)) for job in jobs]
         except Exception as exc:
-            reply = (False, _described(exc))
-        data = marshal.dumps(reply)
+            records = [(False, _described(exc))]
         with open(write, "wb") as pipe:
-            pipe.write(data)
+            for record in records:
+                _send(pipe, record)
         status = 0
     except BaseException:  # a fork child must never unwind into its parent's code
         sys.excepthook(*sys.exc_info())
@@ -166,11 +180,26 @@ def _rebuilt(module: str, qualname: str, args: tuple) -> Exception:
     return RuntimeError(f"{module}.{qualname}{args!r}")
 
 
-def _reap(pid: int, read: int) -> tuple[int, bytes]:
-    """Read a child's pipe to its end and wait for it: (exit status, bytes)."""
+def _reap(pid: int, read: int) -> tuple[int, list]:
+    """Read a child's records to the end of its pipe and wait for it: (exit status, records).
+
+    Each record is decoded as soon as it is read, so its bytes go before the
+    next is read.  A short read is the end of the pipe, so a record cut short
+    ends the list.
+    """
+    records = []
     try:
         with open(read, "rb") as pipe:
-            data = pipe.read()
+            while True:
+                head = pipe.read(_LENGTH)
+                if len(head) < _LENGTH:
+                    break
+                size = int.from_bytes(head, "big")
+                data = pipe.read(size)
+                if len(data) < size:
+                    break
+                records.append(marshal.loads(data))
+                del data  # before the next record's bytes are read
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return status, data
+    return status, records

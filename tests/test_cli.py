@@ -474,7 +474,7 @@ class TestVerifyCommand:
 
     def test_guard(self):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "6", "--suite", "all"])
+            main(["verify", "--n", "7", "--suite", "all"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv,exit_code,digest", [
@@ -611,9 +611,16 @@ class TestVerifyRankGuard:
         data = json.loads(out)
         assert data["ok"] and data["reports"][0]["checks"] == 4096
 
-    def test_oracle_n6_exit_2(self):
+    def test_oracle_n5_pinned_bytes(self, capsys):
+        code, text = run(capsys, "verify", "--n", "5", "--suite", "oracle", "--json")
+        assert code == 0
+        assert json.loads(text)["reports"][0]["checks"] == 1024
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == "4dc9ca4ceb4747ffc794639a83be58e1540f628232235ae34c84aec502806cbf")
+
+    def test_oracle_n7_exit_2(self):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "6", "--suite", "oracle"])
+            main(["verify", "--n", "7", "--suite", "oracle"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("suite", ["gkm", "chern"])

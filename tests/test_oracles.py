@@ -16,6 +16,7 @@ from lgrass import (CertificateError, IsotropicIndex, LaurentPolynomial, Positiv
                     reduced_word, reflect, restrict, restrict_h, restrict_k,
                     run_verification, sigma)
 from lgrass import oracles, restriction
+from lgrass.chart import coordinate_weight_k, entry_cut_pairs
 
 from helpers import (bfs_weyl_lengths, inclusion_exclusion_union_class, per_pair_billey,
                      window_generators, window_product, x_expansion_lowest_form)
@@ -156,13 +157,37 @@ class TestUnionOracle:
             for b in points:
                 assert kclass_union_oracle(a, b) == inclusion_exclusion_union_class(a, b)
 
+    def test_every_pair_matches_restrict_k_n5(self):
+        points = enumerate_isotropic(5)
+        for a in points:
+            for b in points:
+                assert kclass_union_oracle(a, b) == restrict_k(a, b).value
+
+    def test_chart_bits_follow_sorted_coordinates(self):
+        # one bit per cell of sigma(beta), in sorted order of the cells' chart coordinates
+        for b in enumerate_isotropic(4):
+            bit, weights = oracles._chart_bits(b)
+            cells = list(ShiftedDiagram(sigma(b)).boxes())
+            coords = {cell: entry_cut_pairs([cell], b)[0] for cell in cells}
+            assert sorted(bit.values()) == [1 << i for i in range(len(cells))]
+            assert sorted(cells, key=bit.get) == sorted(cells, key=coords.get)
+            assert [weights[bit[cell].bit_length() - 1] for cell in cells] == [
+                coordinate_weight_k(*coords[cell], 4) for cell in cells]
+
+    def test_minimal_keeps_the_inclusion_minimal_masks(self):
+        assert oracles._minimal([0b111, 0b011, 0b110, 0b011, 0b100]) == {0b011, 0b100}
+        assert oracles._minimal([0b101, 0, 0b1]) == {0}
+        assert oracles._minimal([]) == frozenset()
+
     def test_perturbed_restriction_reported_once(self, monkeypatch):
-        points = enumerate_isotropic(4)
-        victim = (points[5], points[11])
-        perturb_column_values(monkeypatch, "K", *victim)
-        report = run_verification(4, ("oracle",))[0]
-        assert report.checks == 256
-        assert report.failures == [f"oracle mismatch at ({victim[0]}; {victim[1]})"]
+        for n, i, j in ((4, 5, 11), (5, 17, 29)):
+            points = enumerate_isotropic(n)
+            victim = (points[i], points[j])
+            with monkeypatch.context() as patch:
+                perturb_column_values(patch, "K", *victim)
+                report = run_verification(n, ("oracle",))[0]
+            assert report.checks == 4 ** n
+            assert report.failures == [f"oracle mismatch at ({victim[0]}; {victim[1]})"]
 
 
 class TestGkmGraph:
@@ -380,6 +405,21 @@ class TestPositivityCells:
         (report,) = run_verification(4, ("positivity",))
         assert report.ok and report.checks == 512
 
+    def test_corrupted_h_cell_n4_enumerates_no_k_tableau(self, monkeypatch):
+        # only the failing theory is redone per tableau
+        expected = perturbed_weight_failures(monkeypatch, "coordinate_weight_h", 4)
+        assert expected and all(msg.startswith("H ") for msg in expected)
+
+        def refuse(lam, mu):
+            raise AssertionError("K cells pass, yet a set-valued tableau was enumerated")
+
+        monkeypatch.setattr(restriction, "enumerate_ssvt", refuse)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            (report,) = run_verification(4, ("positivity",))
+            assert report.checks == 512 and report.failures == expected
+
     @pytest.mark.parametrize("name", ["coordinate_weight_k", "coordinate_weight_h"])
     def test_corrupted_cell_n4_gives_the_per_tableau_failures(self, monkeypatch, name):
         expected = perturbed_weight_failures(monkeypatch, name, 4)
@@ -496,6 +536,36 @@ class TestRestrictionReads:
             walked.clear()
             assert run_verification(3, ("gkm",))[0].ok
             assert len(walked) == 16 and set(walked) == every
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_gkm_builds_each_column_once_per_run(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        real = oracles.column_values
+        log = tmp_path / "builds"
+
+        def logged(beta, theory, alphas):
+            with open(log, "a") as handle:  # one short append per build, in any process
+                handle.write(f"{beta} {theory}\n")
+            return real(beta, theory, alphas)
+
+        monkeypatch.setattr(oracles, "column_values", logged)
+        assert all(r.ok for r in run_verification(3, ("chern", "gkm", "subword")))
+        assert sorted(log.read_text().splitlines()) == sorted(
+            f"{b} {t}" for b in enumerate_isotropic(3) for t in "KH")
+
+    def test_without_gkm_only_the_columns_read_are_built(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        real = oracles.column_values
+        walked = []
+
+        def counted(beta, theory, alphas):
+            walked.append((beta, theory))
+            return real(beta, theory, alphas)
+
+        monkeypatch.setattr(oracles, "column_values", counted)
+        assert all(r.ok for r in run_verification(3, ("oracle", "positivity")))
+        assert sorted(walked) == [(b, "K") for b in enumerate_isotropic(3)]
 
     def test_run_drops_every_value_it_read(self, monkeypatch):
         class Tracked(LaurentPolynomial):

@@ -2,6 +2,7 @@ import pytest
 
 from lgrass import (SetValuedShiftedTableau, ShiftedDiagram, entry_context,
                     enumerate_ssvt, enumerate_ssyt, is_on, is_semistandard)
+from lgrass.tableaux import ssyt_fillings
 from lgrass.render import svg_tableau
 from helpers import brute_force_tableaux
 
@@ -174,6 +175,13 @@ class TestEnumeration:
     def test_matches_brute_force(self, lam, mu):
         assert enumerate_ssvt(lam, mu) == brute_force_tableaux(lam, mu)
         assert enumerate_ssyt(lam, mu) == brute_force_tableaux(lam, mu, set_valued=False)
+
+    @pytest.mark.parametrize("lam,mu", [((), (2,)), ((2, 1), (5, 3, 2)), ((3, 1), (4, 3, 1)),
+                                        ((2,), (1,))])
+    def test_fillings_visit_the_ssyt_in_order(self, lam, mu):
+        got = ssyt_fillings(lam, mu, lambda filled: tab(*[
+            [filled[r, c] for c in range(r, r + part)] for r, part in enumerate(lam, start=1)]))
+        assert got == enumerate_ssyt(lam, mu)
 
     def test_singleton_on_own_shape(self):
         # empirical: the diagonal enumeration is a single tableau (row i filled

@@ -81,3 +81,52 @@ def test_job_inside_a_map_runs_serially():
 
     assert forked_map(job, [0, 1]) == [(1, True), (1, True)]
     assert_no_child_left()
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_results_larger_than_a_pipe_buffer_come_back_intact(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    jobs = list(range(7))
+
+    def job(j):
+        return bytes([j]) * (200_000 + j), list(range(j * 30_000))
+
+    assert forked_map(job, jobs) == [job(j) for j in jobs]
+    assert_no_child_left()
+
+
+def test_second_job_of_a_child_raises_as_itself(monkeypatch):
+    use_cpus(monkeypatch, 2)  # process 0 runs jobs 0 and 3, the child 1 and 2
+
+    def job(j):
+        if j == 2:
+            raise KeyError("second job", 2)
+        return j
+
+    with pytest.raises(KeyError) as exc:
+        forked_map(job, [0, 1, 2, 3])
+    assert exc.value.args == ("second job", 2)
+    assert "worker 1 of 2 raised" in str(exc.value.__cause__)
+    assert_no_child_left()
+
+
+def test_child_exiting_after_its_first_record_raises_runtime_error(monkeypatch):
+    use_cpus(monkeypatch, 2)  # the child runs jobs 1 and 2
+    parent = os.getpid()
+    real = workers._send
+    sent = []
+
+    def send_one(pipe, record):
+        if os.getpid() != parent and sent:
+            pipe.flush()
+            os._exit(0)
+        sent.append(record)
+        real(pipe, record)
+
+    monkeypatch.setattr(workers, "_send", send_one)
+    with pytest.raises(RuntimeError, match=r"^worker 1 of 2 exited without a reply$"):
+        forked_map(lambda j: j, [0, 1, 2, 3])
+    assert_no_child_left()
