@@ -52,21 +52,22 @@ TABLE_RANK_LIMITS = {"K": 6, "H": 7}
 # and 701 MB in-process, and n=8 w0 itself was not run.
 RESTRICT_RANK_LIMIT = 7
 # Largest n per verify suite, from cold CLI runs on 2 shared Xeon cores, where
-# `verify` deals its beta columns and gkm rows over one process per usable CPU,
-# each pinned to a CPU of its own (time, then peak RSS of the largest process):
-# `--n 6 --suite oracle` 3.2 s and 144 MB (4 096 checks; the face-sum DP keeps
-# only the minimal live cuts, where keeping every cut took 367-384 s over all
-# n=6 pairs on one process), `--suite gkm` 14 s and 295 MB (86 016 edge checks;
-# each n=6 K and H column is built once per run and shared by fork), `--suite
-# chern` 21-22 s and 163 MB (4 096 checks), `--suite subword` 0.30 s and 34 MB,
-# `--suite all` 34 s and 340 MB, and `--n 5 --suite all` 1.0-1.1 s and 28 MB.
-# positivity certifies each cell of sigma(beta) once per theory and, while
-# every cell passes, enumerates no tableau: `--n 7` takes 0.12-0.16 s and
-# `--n 10` 0.55-0.67 s (2 097 152 pair checks), each 17 MB.  A theory with a
-# failing cell at a beta is redone there per tableau.  Every suite but
-# positivity stops at n=6: oracle, gkm and chern read whole n=7 K columns,
-# and the w0 one alone takes 1 658 MB through `column_values`.
-VERIFY_RANK_LIMITS = {"oracle": 6, "gkm": 6, "chern": 6, "positivity": 10, "subword": 6}
+# `verify` deals one job per beta, which keeps only that beta's columns, and
+# then the gkm rows, over one pinned process per usable CPU (time, then peak
+# RSS of the largest process): n=6 oracle 3.2-4.5 s and 97 MiB (the face-sum
+# DP keeps only the minimal live cuts; keeping every cut took 367-384 s over
+# all n=6 pairs on one process), gkm 14-16 s and 295 MiB (each column is built
+# once per run, and the rows share the parent's store of them by fork), chern
+# 21-33 s and 129 MiB, subword 0.30-0.43 s and 31 MiB, all 34-50 s and 296 MiB;
+# n=7 subword 8.3-9.2 s and 348 MiB; n=5 all 1.0-1.9 s and 26 MiB.  positivity
+# certifies each cell of sigma(beta) once per theory and, while every cell
+# passes, enumerates no tableau: n=7 takes 0.12-0.16 s and n=10 0.55-0.67 s,
+# each 17 MB.  A theory with a failing cell at a beta is redone there per
+# tableau, a cost this guard does not cover: one corrupted weight at n=7 takes
+# 18-27 s, and n >= 8 was not measured.  oracle, gkm and chern stop at n=6:
+# they read whole n=7 K columns, and the w0 one alone takes 1 658 MB through
+# `column_values`.
+VERIFY_RANK_LIMITS = {"oracle": 6, "gkm": 6, "chern": 6, "positivity": 10, "subword": 7}
 
 
 def parse_ints(text: str) -> list[int]:

@@ -25,12 +25,12 @@ those two is common to both and only subword and gkm can catch it:
   tableau; only a theory with a failing cell at a beta is redone there per
   tableau by ``positivity_certificate``, for its exact failure list.
 
-``run_verification`` splits the suites into jobs, one beta column of a pair
-suite or one (theory, alpha) row of gkm, and deals them over one process per
-usable CPU (``workers.forked_map``).  Its jobs read restriction values from a
-store of ``column_values`` that lives for that one call; when gkm runs, every
-column is built once by a first ``forked_map`` and the store is filled before
-the suite jobs fork.  The public single checks (``chern_consistency``,
+``run_verification`` deals one job per beta over one process per usable CPU
+(``workers.forked_map``); a job builds beta's columns by ``column_values``,
+runs every named pair suite on them and drops them, so a process holds one
+beta's columns at a time.  When gkm runs, the jobs also send their columns
+back, and a second ``forked_map`` deals the gkm rows over the store the parent
+fills from them.  The public single checks (``chern_consistency``,
 ``gkm_check``) read pruned ``restrict``.  Nothing here keeps a restriction
 value between calls; ``_chart_bits`` keeps chart data per beta.
 """
@@ -351,16 +351,10 @@ def gkm_check(alpha: IsotropicIndex, n: int, theory: str,
               corrupt: bool = False) -> SuiteReport:
     """GKM divisibility for the full fixed-point row of one class, by pruned ``restrict``.
 
-    ``corrupt`` perturbs one table value by +1 as a negative control; the
-    resulting report is expected to carry failures.
+    ``corrupt`` adds 1 to the value at the row's largest point as a negative
+    control; the resulting report is expected to carry failures.
     """
     table = {b: restrict(alpha, b, theory).value for b in enumerate_isotropic(n)}
-    return _gkm_row(table, n, theory, corrupt)
-
-
-def _gkm_row(table: dict[IsotropicIndex, LaurentPolynomial], n: int, theory: str,
-             corrupt: bool) -> SuiteReport:
-    """``gkm_check_table`` of one row, with its largest point's value plus 1 if corrupt."""
     if corrupt:
         victim = max(table)
         table[victim] = table[victim] + 1
@@ -426,24 +420,30 @@ def _pair_column(points: list[IsotropicIndex], j: int, *checks) -> Share:
     return Share(len(points) * len(checks), failures)
 
 
-def _oracle_job(points: list[IsotropicIndex], j: int, column) -> Share:
-    k_values = column(points[j], "K")
+def _agreement(points: list[IsotropicIndex], j: int, suite: str, value,
+               expected: dict) -> Share:
+    """One pair check per alpha at beta = points[j]: value(alpha) == expected[alpha].
 
+    A mismatch fails with the message "<suite> mismatch at (alpha; beta)".
+    """
     def check(a, b):
-        if k_values[a] != kclass_union_oracle(a, b):
-            return f"oracle mismatch at ({a}; {b})"
+        if value(a) != expected[a]:
+            return f"{suite} mismatch at ({a}; {b})"
 
     return _pair_column(points, j, check)
+
+
+def _oracle_job(points: list[IsotropicIndex], j: int, column) -> Share:
+    beta = points[j]
+    return _agreement(points, j, "oracle", lambda a: kclass_union_oracle(a, beta),
+                      column(beta, "K"))
 
 
 def _chern_job(points: list[IsotropicIndex], j: int, column) -> Share:
-    k_values, h_values = column(points[j], "K"), column(points[j], "H")
-
-    def check(a, b):
-        if lowest_degree_form(k_values[a], order=length(a)) != h_values[a]:
-            return f"chern mismatch at ({a}; {b})"
-
-    return _pair_column(points, j, check)
+    k_values = column(points[j], "K")
+    return _agreement(points, j, "chern",
+                      lambda a: lowest_degree_form(k_values[a], order=length(a)),
+                      column(points[j], "H"))
 
 
 def _positivity_job(points: list[IsotropicIndex], j: int, column) -> Share:
@@ -489,31 +489,25 @@ def _certify_pair(theory: str, checked: dict, a: IsotropicIndex, b: IsotropicInd
 
 
 def _subword_job(points: list[IsotropicIndex], j: int, column) -> Share:
-    subword, h_values = _subword_column(points[j]), column(points[j], "H")
-
-    def check(a, b):
-        if subword[a] != h_values[a]:
-            return f"subword mismatch at ({a}; {b})"
-
-    return _pair_column(points, j, check)
+    return _agreement(points, j, "subword", _subword_column(points[j]).__getitem__,
+                      column(points[j], "H"))
 
 
-def _gkm_job(points: list[IsotropicIndex], k: int, column, corrupt: bool = False) -> Share:
+def _gkm_job(points: list[IsotropicIndex], k: int, column) -> Share:
     """Row k of gkm: theory H for k < 2^n, else K, alpha = points[k mod 2^n], from every column."""
     t, i = divmod(k, len(points))
     theory = "HK"[t]
     alpha = points[i]
-    report = _gkm_row({b: column(b, theory)[alpha] for b in points}, alpha.n, theory, corrupt)
+    report = gkm_check_table({b: column(b, theory)[alpha] for b in points}, alpha.n, theory)
     return Share(report.checks, [(t, i, f"{theory} alpha={alpha}: {msg}")
                                  for msg in report.failures])
 
 
 # suite name -> one job of it, job(enumerate_isotropic(n), k, column) -> Share:
-# beta column k of a pair suite, or row k of gkm (which also takes
-# ``corrupt``).  column(beta, theory) maps every alpha to its restriction value
-# at beta; it is run_verification's store, and a job reads only from it.
-# run_verification looks each job up here as it runs it, so bench/tracer.py's
-# wrappers of these entries time and count process 0's jobs.
+# beta column k of a pair suite, or row k of gkm.  column(beta, theory) maps
+# every alpha to its restriction value at beta; a job reads values only from
+# it.  run_verification looks each job up here as it runs it, so
+# bench/tracer.py's wrappers of these entries time and count process 0's jobs.
 SUITES = {
     "oracle": _oracle_job,
     "gkm": _gkm_job,
@@ -525,21 +519,17 @@ SUITES = {
 def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> list[SuiteReport]:
     """One report per named suite, in order; ``corrupt`` turns gkm into a negative control.
 
-    The jobs of every named suite, beta columns of the pair suites and
-    (theory, alpha) rows of gkm, go into one list suite by suite, in the
-    order named, and each suite's heaviest first by ``heaviest_first``, as
-    ``table`` deals its columns: a pair suite's columns by |sigma(beta)|,
-    gkm's K rows, then its H rows, each by |sigma(alpha)|.  One ``forked_map``
-    deals the list over one process per usable CPU.  The jobs read
-    restriction values from one store that this call owns, filled through
-    ``column_values`` once per (beta, theory) it holds, and it goes when the
-    call returns.  A gkm row reads every column, so when gkm runs, a first
-    ``forked_map`` deals every column build, K then H, and fills the store
-    from the replies before the suite jobs fork, so every process reads
-    columns built once per run.  Without gkm each process fills the store
-    lazily, with only the columns of its own jobs.  Each report is then
-    rebuilt in single-process order: alpha, beta, check for the pair suites,
-    theory then alpha for gkm.
+    A column is built inside the job of its own beta and lives only as long
+    as that job.  A first ``forked_map`` deals one job per beta, heaviest
+    first by ``heaviest_first``, over one process per usable CPU; the job
+    builds beta's K or H column by ``column_values`` the first time a suite
+    reads it and runs every named pair suite on beta.  A gkm row reads every
+    column, so when gkm is named each job also returns beta's two columns,
+    the parent stores them, ``corrupt`` adds 1 to every stored value at the
+    largest point (no pair suite reads the store), and a second
+    ``forked_map`` deals the gkm rows over it: K rows, then H rows, each by
+    |sigma(alpha)|.  Each report is rebuilt in single-process order: alpha,
+    beta, check for the pair suites, theory then alpha for gkm.
     """
     if corrupt and "gkm" not in suites:
         raise ValueError(f"corrupt perturbs the gkm suite only, not run in {list(suites)}")
@@ -548,34 +538,40 @@ def run_verification(n: int, suites=tuple(SUITES), corrupt: bool = False) -> lis
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     points = enumerate_isotropic(n)
     order = heaviest_first(points)
-    jobs = [(p, name, t * len(points) + i) for p, name in enumerate(suites)
-            for t in ((1, 0) if name == "gkm" else (0,)) for i in order]
+    pairs = [p for p, name in enumerate(suites) if name != "gkm"]
+    rows = [p for p, name in enumerate(suites) if name == "gkm"]
 
-    store: dict[tuple[IsotropicIndex, str], dict[IsotropicIndex, LaurentPolynomial]] = {}
-    if "gkm" in suites:
-        builds = [(points[i], theory) for theory in "KH" for i in order]
+    def beta_job(j):
+        built = {}
 
-        def build(key):
-            return [value._to_marshal() for value in column_values(*key, points)]
+        def column(beta, theory):
+            if (beta, theory) not in built:
+                built[beta, theory] = dict(zip(points, column_values(beta, theory, points)))
+            return built[beta, theory]
 
-        for key, values in zip(builds, forked_map(build, builds)):
-            store[key] = dict(zip(points, map(LaurentPolynomial._from_marshal, values)))
+        done = [(p, *SUITES[suites[p]](points, j, column)) for p in pairs]
+        return done, [[v._to_marshal() for v in column(points[j], theory).values()]
+                      for theory in ("KH" if rows else "")]
 
-    def column(beta, theory):
-        values = store.get((beta, theory))
-        if values is None:
-            values = store[beta, theory] = dict(zip(points, column_values(beta, theory, points)))
-        return values
+    shares, store = [], {}
+    betas = order if suites else []
+    for j, (done, columns) in zip(betas, forked_map(beta_job, betas)):
+        shares += done
+        for theory, col in zip("KH", columns):
+            store[points[j], theory] = dict(zip(points, map(LaurentPolynomial._from_marshal, col)))
+    if corrupt:
+        for key in ((points[-1], "K"), (points[-1], "H")):
+            store[key] = {a: v + 1 for a, v in store[key].items()}
 
-    def run(job):
-        _, name, k = job
-        share = (SUITES[name](points, k, column, corrupt) if name == "gkm"
-                 else SUITES[name](points, k, column))
-        return share.checks, share.failures
+    def gkm_row(job):
+        p, k = job
+        return (p, *SUITES["gkm"](points, k, lambda beta, theory: store[beta, theory]))
 
+    shares += forked_map(gkm_row, [(p, t * len(points) + i)
+                                   for p in rows for t in (1, 0) for i in order])
     counts = [0] * len(suites)
     tagged = [[] for _ in suites]
-    for (p, _, _), (checks, failures) in zip(jobs, forked_map(run, jobs)):
+    for p, checks, failures in shares:
         counts[p] += checks
         tagged[p].extend(failures)
     # stable: the failures of one gkm row share a tag and keep their order

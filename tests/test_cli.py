@@ -531,6 +531,15 @@ class TestVerifyProcesses:
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "cdf79db4c3280a05fcf0e0d815d80d1bbd45436857e722eaf7c8df67f515d96c")
 
+    def test_corrupt_all_n4_fails_gkm_alone(self, capsys, monkeypatch):
+        # the corrupted gkm store leaves the pair suites of the same run passing
+        code, out = self.same_on_1_2_3(capsys, monkeypatch, "--n", "4", "--suite", "all",
+                                       "--json", "--corrupt")
+        assert code == 1
+        assert ([r["suite"] for r in json.loads(out)["reports"] if not r["ok"]] == ["gkm"])
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "7f379d63afd8b5b2d3ddc527e6cd41e9d2904089e943cf09b7d85c043cd769e2")
+
     @pytest.mark.parametrize("name", ["coordinate_weight_k", "coordinate_weight_h"])
     def test_perturbed_positivity_failures_keep_their_order(self, monkeypatch, name):
         weight = getattr(restriction, name)
@@ -651,7 +660,7 @@ class TestVerifyRankGuard:
         (report,) = json.loads(out)["reports"]
         assert report["checks"] == 2560 and len(report["failures"]) == 320
 
-    def test_subword_n7_exit_2(self):
+    def test_subword_n8_exit_2(self):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "7", "--suite", "subword"])
+            main(["verify", "--n", "8", "--suite", "subword"])
         assert exc.value.code == 2

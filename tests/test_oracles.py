@@ -519,7 +519,7 @@ class TestSuites:
 
 
 class TestRestrictionReads:
-    """The suites read one store per run_verification call; single checks walk pruned."""
+    """A beta job builds its own columns, gkm reads a store per run; single checks walk pruned."""
 
     def test_each_run_walks_every_column_once(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -584,6 +584,27 @@ class TestRestrictionReads:
         assert all(r.ok for r in run_verification(3))
         gc.collect()
         assert refs and all(ref() is None for ref in refs)
+
+    def test_each_job_drops_its_columns(self, monkeypatch):
+        class Tracked(LaurentPolynomial):
+            __slots__ = ("__weakref__",)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        real = oracles.column_values
+        refs = {}  # beta -> weakrefs to the values of its columns
+        stale = []  # per build: the earlier betas with a value still alive
+
+        def tracked(beta, theory, alphas):
+            gc.collect()
+            stale.append([b for b, rs in refs.items()
+                          if b != beta and any(ref() is not None for ref in rs)])
+            values = [Tracked(v.n, v.terms()) for v in real(beta, theory, alphas)]
+            refs.setdefault(beta, []).extend(weakref.ref(v) for v in values)
+            return values
+
+        monkeypatch.setattr(oracles, "column_values", tracked)
+        assert run_verification(4, ("chern",))[0].ok
+        assert len(stale) == 32 and not any(stale)
 
     def test_single_checks_walk_pruned(self, monkeypatch):
         real = restriction._walk
